@@ -31,7 +31,7 @@ from .systems import (AdmissibilityReport, CoeffArrays, PolySystem,
                       TransformParams, apply_affine, check_shift_admissible,
                       fixed_points, reduce_depth, triangularize_linear)
 from .triangular import (SpectralDecomposition, decompose,
-                         invert_unit_triangular, power_from_decomposition)
+                         invert_unit_triangular)
 
 __version__ = "0.1.0"
 
@@ -47,8 +47,8 @@ __all__ = [
     "check_shift_admissible", "decompose", "eval_closed_form", "eval_direct",
     "fixed_points", "format_scalar", "grlex_key", "history_to_reduced_state",
     "invert_unit_triangular", "kron_index_monomial", "multinomial_entry",
-    "oracle_iterate_symbolic", "parse", "parse_system",
-    "power_from_decomposition", "pretty_print", "reduce_depth",
-    "reduced_variable_names", "resolve_shift", "resolve_transform", "solve",
-    "total_degree", "triangularize_linear", "verify",
+    "oracle_iterate_symbolic", "parse", "parse_system", "pretty_print",
+    "reduce_depth", "reduced_variable_names", "resolve_shift",
+    "resolve_transform", "solve", "total_degree", "triangularize_linear",
+    "verify",
 ]

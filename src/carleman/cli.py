@@ -232,7 +232,7 @@ def _cmd_matrix(args) -> int:
         if triangular:
             lines.append("eigenvalues: " + ", ".join(
                 format_scalar(x) for x in transition.diagonal()))
-        for mono, row in zip(basis.monomials, transition.rows):
+        for mono, row in zip(basis.monomials, transition.dense_rows()):
             cells = ", ".join(format_scalar(x) for x in row)
             lines.append(f"{list(mono)}: [{cells}]")
         text = "\n".join(lines) + "\n"

@@ -11,7 +11,8 @@ Index 0 is always the constant monomial and indices 1..k the degree-one
 monomials in variable order. One linear step of the embedded dynamics is
 the transition matrix T: row a holds the degree <= N truncation of the
 image of basis monomial a under the map, expressed in basis coordinates,
-so y_i = T y_{i-1} entrywise. Row 0 is always (1, 0, ..., 0).
+so y_i = T y_{i-1} entrywise. Row 0 is always (1, 0, ..., 0). Rows are
+stored sparse, as {column: coefficient} maps of the nonzero entries.
 
 When the map has no constant term and an upper-triangular linear part,
 products can only move exponent mass toward higher variable indices and
@@ -27,9 +28,10 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityError, SizeLimitError
-from .linalg import identity, is_upper_triangular, mat_mul
+from .linalg import identity, mat_mul
 from .poly import Monomial, Poly, grlex_key
 from .scalars import Mode, Scalar, scalar_to_json
+from .triangular import sparse_is_upper_triangular
 
 BASIS_SIZE_LIMIT = 200_000
 
@@ -162,9 +164,7 @@ def build_transition(system, basis: MonomialBasis) -> "CarlemanMatrix":
         raise ArityError(
             f"system has {system.k} variables but the basis expects {basis.k}")
     order = basis.order
-    zero = system.mode.zero
     one = system.mode.one
-    size = len(basis)
 
     # cached truncated powers of each component map
     pow_cache: Dict[Tuple[int, int], Poly] = {}
@@ -175,26 +175,32 @@ def build_transition(system, basis: MonomialBasis) -> "CarlemanMatrix":
             pow_cache[key] = system.polys[s].pow_truncated(e, order).scaled(one)
         return pow_cache[key]
 
-    rows: List[List[Scalar]] = []
+    rows: List[Dict[int, Scalar]] = []
     for mono in basis.monomials:
         image = Poly.constant(basis.k, one)
         for s, e in enumerate(mono):
             if e:
                 image = image.mul_truncated(component_power(s, e), order)
-        row = [zero] * size
-        for term_mono, coeff in image.terms.items():
-            row[basis.index_of(term_mono)] = coeff
-        rows.append(row)
+        rows.append(dict(sorted(
+            (basis.index_of(term_mono), coeff)
+            for term_mono, coeff in image.terms.items())))
     return CarlemanMatrix(basis, rows, system.mode)
 
 
 class CarlemanMatrix:
-    """Transition matrix together with the basis that indexes it."""
+    """Transition matrix together with the basis that indexes it.
+
+    rows[a] maps column index to the nonzero entries of row a; absent
+    entries are zero. dense_rows() expands it for rendering.
+    """
 
     __slots__ = ("basis", "rows", "mode")
 
-    def __init__(self, basis: MonomialBasis, rows: List[List[Scalar]], mode: Mode):
-        if len(rows) != len(basis) or any(len(r) != len(basis) for r in rows):
+    def __init__(self, basis: MonomialBasis, rows: List[Dict[int, Scalar]],
+                 mode: Mode):
+        size = len(basis)
+        if len(rows) != size or any(not 0 <= c < size
+                                    for row in rows for c in row):
             raise ArityError("matrix shape does not match the basis size")
         self.basis = basis
         self.rows = rows
@@ -203,17 +209,29 @@ class CarlemanMatrix:
     @property
     def is_triangular(self) -> bool:
         tol = 0.0 if self.mode is Mode.EXACT else 1e-10
-        return is_upper_triangular(self.rows, tol)
+        return sparse_is_upper_triangular(self.rows, tol)
 
     def diagonal(self) -> List[Scalar]:
-        return [self.rows[i][i] for i in range(len(self.rows))]
+        zero = self.mode.zero
+        return [row.get(i, zero) for i, row in enumerate(self.rows)]
+
+    def dense_rows(self) -> List[List[Scalar]]:
+        zero = self.mode.zero
+        size = len(self.rows)
+        out = []
+        for row in self.rows:
+            dense = [zero] * size
+            for c, value in row.items():
+                dense[c] = value
+            out.append(dense)
+        return out
 
     def power(self, exponent: int) -> List[List[Scalar]]:
-        """Plain matrix power by repeated squaring."""
+        """Plain dense matrix power by repeated squaring."""
         if exponent < 0:
             raise ArityError(f"negative matrix power {exponent}")
         result = identity(len(self.rows), self.mode)
-        base = self.rows
+        base = self.dense_rows()
         e = exponent
         while e:
             if e & 1:
@@ -228,5 +246,6 @@ class CarlemanMatrix:
             "k": self.basis.k,
             "N": self.basis.order,
             "basis": [list(m) for m in self.basis.monomials],
-            "rows": [[scalar_to_json(x) for x in row] for row in self.rows],
+            "rows": [[scalar_to_json(x) for x in row]
+                     for row in self.dense_rows()],
         }

@@ -1,8 +1,10 @@
 """Small dense matrix helpers over exact or float scalars.
 
-Matrices are plain lists of row lists. Sizes here are tiny (state
-dimension k, or the truncated basis size), so everything is the obvious
-cubic algorithm with no attempt at cleverness.
+Matrices are plain lists of row lists. Sizes here are tiny (the state
+dimension k), so everything is the obvious cubic algorithm with no
+attempt at cleverness. The pipeline's basis-sized matrices (the
+transition matrix T and its eigenvector matrices P and P^-1) do not go
+through here: they are kept as sparse rows, see triangular.py.
 """
 
 from __future__ import annotations

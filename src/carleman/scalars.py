@@ -24,11 +24,11 @@ class Mode(Enum):
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self is Mode.EXACT else complex(0)
+        return _EXACT_ZERO if self is Mode.EXACT else 0j
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self is Mode.EXACT else complex(1)
+        return _EXACT_ONE if self is Mode.EXACT else 1 + 0j
 
     def from_fraction(self, value: Fraction) -> Scalar:
         """Convert an exact literal into this mode's scalar type."""
@@ -45,6 +45,11 @@ class Mode(Enum):
         if self is Mode.EXACT:
             return isinstance(value, Fraction)
         return isinstance(value, complex)
+
+
+# Fraction is immutable, so every caller can share one instance
+_EXACT_ZERO = Fraction(0)
+_EXACT_ONE = Fraction(1)
 
 
 def mode_of(value: Scalar) -> Mode:

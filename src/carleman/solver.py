@@ -73,9 +73,10 @@ class ExpSum:
                    merge_tol: float = 1e-9) -> "ExpSum":
         merged: List[List[Scalar]] = []
         if mode is Mode.EXACT:
+            zero = mode.zero
             bucket: Dict[Scalar, Scalar] = {}
             for base, coeff in pairs:
-                bucket[base] = bucket.get(base, mode.zero) + coeff
+                bucket[base] = bucket.get(base, zero) + coeff
             merged = [[b, c] for b, c in bucket.items()]
         else:
             for base, coeff in sorted(pairs, key=lambda bc: sort_key(bc[0])):
@@ -442,10 +443,12 @@ def resolve_shift(system: PolySystem, opts: SolveOptions
         tried = ", ".join(
             "[" + ", ".join(format_scalar(x) for x in c.offset) + "]"
             for c in trail) or "none found"
+        remedy = ("use --mode float" if mode is Mode.EXACT
+                  else "a lower --order")
         raise ShiftNotFoundError(
             f"shift: no fixed point gives distinct eigenvalue products up to "
             f"degree {opts.order} (candidates tried: {tried}); "
-            f"supply --shift or use --mode float")
+            f"supply --shift or {remedy}")
     return chosen, trail
 
 
@@ -581,15 +584,19 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
     var_rows = [basis.index_of(tuple(1 if t == q else 0 for t in range(w)))
                 for q in range(w)]
 
-    # coefficient of basis monomial l in transformed variable q at step i
+    # coefficient of basis monomial l in transformed variable q at step i:
+    # sum over j of P[r][j] * P^-1[j][l] * eigs[j]^i, r the row of q; only
+    # the j with both entries stored give a nonzero term
     flows: List[List[Optional[ExpSum]]] = [[None] * size for _ in range(w)]
     transformed_tables: List[Dict[Monomial, ExpSum]] = [dict() for _ in range(w)]
     for q in range(w):
-        row = var_rows[q]
-        for l in range(row, size):
-            pairs = [(eigs[j], modal[row][j] * modal_inv[j][l])
-                     for j in range(row, l + 1)]
-            exp_sum = ExpSum.from_terms(mode, pairs)
+        pairs_by_column: Dict[int, List[Tuple[Scalar, Scalar]]] = {}
+        for j, p_rj in modal[var_rows[q]].items():
+            base = eigs[j]
+            for l, q_jl in modal_inv[j].items():
+                pairs_by_column.setdefault(l, []).append((base, p_rj * q_jl))
+        for l in sorted(pairs_by_column):
+            exp_sum = ExpSum.from_terms(mode, pairs_by_column[l])
             if not exp_sum.is_zero():
                 flows[q][l] = exp_sum
                 transformed_tables[q][basis.monomials[l]] = exp_sum

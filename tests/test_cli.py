@@ -334,6 +334,18 @@ def test_unshiftable_exact_system_suggests_alternatives(tmp_path, capsys):
     assert "supply --shift or use --mode float" in capsys.readouterr().err
 
 
+def test_unshiftable_float_system_suggests_shift_or_lower_order(tmp_path,
+                                                                capsys):
+    # the only fixed point has eigenvalue -1, and (-1)^2 collides with 1
+    path = write(tmp_path, "vars: u\nu[i] = -1*u[i-1]\n")
+    code = main(["solve", path, "--order", "2", "--mode", "float"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "supply --shift or a lower --order" in err
+    assert "--mode float" not in err
+    assert main(["solve", path, "--order", "1", "--mode", "float"]) == 0
+
+
 def test_order_zero_rejected(tmp_path, capsys):
     code = main(["solve", write(tmp_path, LOGISTIC), "--order", "0"])
     assert code == 2

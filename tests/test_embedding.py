@@ -16,6 +16,7 @@ from carleman.poly import Poly, univariate_coeffs
 from carleman.scalars import Mode
 
 from conftest import random_fraction, random_triangular_system
+from oracles import dense
 
 F = Fraction
 
@@ -111,7 +112,7 @@ def test_multinomial_entry_matches_powers_up_to_eight():
 def test_logistic_transition_golden():
     basis = MonomialBasis(1, 3)
     matrix = build_transition(LOGISTIC, basis)
-    assert matrix.rows == [
+    assert dense(matrix.rows) == [
         [F(1), F(0), F(0), F(0)],
         [F(0), F(2), F(-2), F(0)],
         [F(0), F(0), F(4), F(-8)],
@@ -127,7 +128,7 @@ def test_coupled_transformed_transition_golden():
         "u[i] = 2*u[i-1] + 87*u[i-1]^2 + 67*u[i-1]*v[i-1] + 13*v[i-1]^2\n"
         "v[i] = 3*v[i-1] - 212*u[i-1]^2 - 164*u[i-1]*v[i-1] - 32*v[i-1]^2\n")
     matrix = build_transition(load(text), MonomialBasis(2, 2))
-    assert matrix.rows == [
+    assert dense(matrix.rows) == [
         [F(1), F(0), F(0), F(0), F(0), F(0)],
         [F(0), F(2), F(0), F(87), F(67), F(13)],
         [F(0), F(0), F(3), F(-212), F(-164), F(-32)],
@@ -142,19 +143,19 @@ def test_row_zero_is_the_constant_functional():
     rng = random.Random(13)
     system = random_triangular_system(rng)
     basis = MonomialBasis(system.k, 3)
-    matrix = build_transition(system, basis)
-    assert matrix.rows[0][0] == 1
-    assert all(x == 0 for x in matrix.rows[0][1:])
+    rows = dense(build_transition(system, basis).rows)
+    assert rows[0][0] == 1
+    assert all(x == 0 for x in rows[0][1:])
 
 
 def test_rows_expand_monomial_images():
     # row a holds the coefficients of (image of basis monomial a), truncated
     system = LOGISTIC
     basis = MonomialBasis(1, 3)
-    matrix = build_transition(system, basis)
+    rows = dense(build_transition(system, basis).rows)
     image = system.polys[0].pow_truncated(2, max_degree=3)
     for b, mono in enumerate(basis.monomials):
-        assert matrix.rows[2][b] == image.terms.get(mono, F(0))
+        assert rows[2][b] == image.terms.get(mono, F(0))
 
 
 def test_nonzero_constant_breaks_triangularity():
@@ -177,7 +178,8 @@ def test_build_transition_checks_variable_count():
 def test_matrix_power_matches_repeated_multiplication():
     basis = MonomialBasis(1, 3)
     matrix = build_transition(LOGISTIC, basis)
-    cube = mat_mul(matrix.rows, mat_mul(matrix.rows, matrix.rows))
+    rows = dense(matrix.rows)
+    cube = mat_mul(rows, mat_mul(rows, rows))
     assert matrix.power(3) == cube
     eye = matrix.power(0)
     assert eye == [[F(1) if r == c else F(0) for c in range(4)]
@@ -203,7 +205,7 @@ def test_truncation_closure_on_random_family():
         small = build_transition(system, MonomialBasis(system.k, 3))
         large = build_transition(system, MonomialBasis(system.k, 5))
         m = len(small.rows)
-        assert [row[:m] for row in large.rows[:m]] == small.rows
+        assert [row[:m] for row in dense(large.rows)[:m]] == dense(small.rows)
         power_small = small.power(3)
         power_large = large.power(3)
         assert [row[:m] for row in power_large[:m]] == power_small

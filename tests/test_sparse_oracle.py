@@ -1,0 +1,130 @@
+"""The sparse back substitution against the dense loops it replaced.
+
+decompose and invert_unit_triangular keep only nonzero entries and skip
+every product with a zero factor, but add the remaining products in the
+order of the dense loops, starting from zero. So P and P^-1 must equal
+the dense oracle cell for cell in both modes, and in float mode every
+nonzero cell must carry the same bits, signed zeros of its real or
+imaginary part included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from carleman import parse_system
+from carleman.embedding import MonomialBasis, build_transition
+from carleman.scalars import Mode
+from carleman.triangular import decompose, invert_unit_triangular
+
+from oracles import dense, dense_invert_triangular, dense_modal, sparse
+
+F = Fraction
+
+LOGISTIC = "vars: u\nu[i] = 2*u[i-1] - 2*u[i-1]^2\n"
+TRI3 = ("vars: x, y, z\n"
+        "x[i] = 2*x[i-1] + y[i-1]^2\n"
+        "y[i] = 3*y[i-1] + x[i-1]*z[i-1]\n"
+        "z[i] = 5*z[i-1] + x[i-1]^2\n")
+COUPLED_TILDE = [
+    [F(1), F(0), F(0), F(0), F(0), F(0)],
+    [F(0), F(2), F(0), F(87), F(67), F(13)],
+    [F(0), F(0), F(3), F(-212), F(-164), F(-32)],
+    [F(0), F(0), F(0), F(4), F(0), F(0)],
+    [F(0), F(0), F(0), F(0), F(6), F(0)],
+    [F(0), F(0), F(0), F(0), F(0), F(9)],
+]
+
+
+def assert_same_cells(got_rows, expected, mode):
+    """Sparse rows equal the dense matrix: == on every cell, nothing
+    stored that is zero, and in float mode identical bits (repr) on every
+    nonzero cell."""
+    assert dense(got_rows, mode) == expected
+    for r, row in enumerate(got_rows):
+        assert all(x != 0 for x in row.values())
+        assert list(row) == sorted(row)
+        if mode is Mode.FLOAT:
+            assert {c: repr(x) for c, x in row.items()} == {
+                c: repr(x) for c, x in enumerate(expected[r]) if x != 0}
+
+
+def check_against_oracle(matrix, mode):
+    """matrix is dense; decompose its sparse form and compare."""
+    spec = decompose(sparse(matrix), mode)
+    modal = dense_modal(matrix, mode)
+    assert spec.eigenvalues == tuple(matrix[i][i] for i in range(len(matrix)))
+    assert_same_cells(spec.modal, modal, mode)
+    assert_same_cells(spec.modal_inv, dense_invert_triangular(modal, mode),
+                      mode)
+
+
+def transition(text, order, mode):
+    system, _ = parse_system(text, mode)
+    rows = build_transition(system, MonomialBasis(system.k, order)).rows
+    return dense(rows, mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+@pytest.mark.parametrize("order", range(3, 9))
+def test_logistic_matches_dense_oracle(mode, order):
+    check_against_oracle(transition(LOGISTIC, order, mode), mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+@pytest.mark.parametrize("order", range(1, 7))
+def test_tri3_matches_dense_oracle(mode, order):
+    check_against_oracle(transition(TRI3, order, mode), mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+def test_coupled_tilde_matches_dense_oracle(mode):
+    matrix = [[mode.from_fraction(x) for x in row] for row in COUPLED_TILDE]
+    check_against_oracle(matrix, mode)
+
+
+def random_sparse_upper(rng, n, density, mode):
+    """Upper-triangular with distinct diagonal and few nonzeros above it.
+    Float entries are complex with real and imaginary parts drawn from
+    small rationals, signed zeros included."""
+    def scalar(allow_zero=True):
+        while True:
+            value = F(rng.randint(-7, 7), rng.randint(1, 5))
+            if allow_zero or value:
+                break
+        if mode is Mode.EXACT:
+            return value
+        imag = rng.choice((0.0, -0.0, float(F(rng.randint(-3, 3), 4))))
+        return complex(float(value), imag)
+
+    diagonal = []
+    while len(diagonal) < n:
+        value = scalar(allow_zero=False)
+        if all(abs(value - d) > 1e-3 for d in diagonal):
+            diagonal.append(value)
+    matrix = [[mode.zero] * n for _ in range(n)]
+    for b in range(n):
+        matrix[b][b] = diagonal[b]
+        for c in range(b + 1, n):
+            if rng.random() < density:
+                matrix[b][c] = scalar()
+    return matrix
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+def test_random_sparse_matrices_match_dense_oracle(mode):
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(1, 24)
+        density = rng.choice((0.05, 0.15, 0.4))
+        check_against_oracle(random_sparse_upper(rng, n, density, mode), mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+def test_inverse_of_general_diagonal_matches_dense_oracle(mode):
+    rng = random.Random(43)
+    for _ in range(40):
+        matrix = random_sparse_upper(rng, rng.randint(1, 20), 0.2, mode)
+        assert_same_cells(invert_unit_triangular(sparse(matrix), mode),
+                          dense_invert_triangular(matrix, mode), mode)
