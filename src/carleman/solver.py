@@ -29,7 +29,7 @@ import dataclasses
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .embedding import MonomialBasis, build_transition
 from .errors import (ArityError, CarlemanError, NotShiftedError,
@@ -71,25 +71,22 @@ class ExpSum:
     def from_terms(cls, mode: Mode,
                    pairs: Sequence[Tuple[Scalar, Scalar]],
                    merge_tol: float = 1e-9) -> "ExpSum":
-        merged: List[List[Scalar]] = []
         if mode is Mode.EXACT:
-            zero = mode.zero
-            bucket: Dict[Scalar, Scalar] = {}
-            for base, coeff in pairs:
-                bucket[base] = bucket.get(base, zero) + coeff
-            merged = [[b, c] for b, c in bucket.items()]
-        else:
-            for base, coeff in sorted(pairs, key=lambda bc: sort_key(bc[0])):
-                if merged and nearly_equal(merged[-1][0], base, merge_tol):
-                    merged[-1][1] = merged[-1][1] + coeff
-                else:
-                    merged.append([base, coeff])
+            running = ExpSumAccumulator(mode)
+            running.add_pairs(pairs)
+            return running.result()
+        merged: List[List[Scalar]] = []
+        for base, coeff in sorted(pairs, key=lambda bc: sort_key(bc[0])):
+            if merged and nearly_equal(merged[-1][0], base, merge_tol):
+                merged[-1][1] = merged[-1][1] + coeff
+            else:
+                merged.append([base, coeff])
         kept = [(b, c) for b, c in merged if c != 0]
-        if mode is Mode.FLOAT and kept:
+        if kept:
             scale = max(1.0, max(abs(c) for _, c in kept))
             kept = [(b, c) for b, c in kept if abs(c) > _FLOAT_COEFF_DROP * scale]
         kept.sort(key=lambda bc: sort_key(bc[0]))
-        return cls(mode=mode, terms=tuple((b, c) for b, c in kept))
+        return cls(mode=mode, terms=tuple(kept))
 
     @classmethod
     def zero(cls, mode: Mode) -> "ExpSum":
@@ -114,6 +111,10 @@ class ExpSum:
     def scaled(self, factor: Scalar) -> "ExpSum":
         if factor == 0:
             return ExpSum.zero(self.mode)
+        if self.mode is Mode.EXACT:
+            # a nonzero factor keeps the bases and keeps every coefficient
+            # nonzero, so the sum stays canonical
+            return ExpSum(self.mode, tuple((b, c * factor) for b, c in self.terms))
         return ExpSum.from_terms(self.mode,
                                  [(b, c * factor) for b, c in self.terms])
 
@@ -139,6 +140,50 @@ class ExpSum:
         pairs = [(scalar_from_json(mode, t["base"]),
                   scalar_from_json(mode, t["coeff"])) for t in data]
         return cls.from_terms(mode, pairs)
+
+
+class ExpSumAccumulator:
+    """Running sum of exponential sums, put in canonical form once by
+    result().
+
+    Exact sums do not depend on the order of addition, so exact mode adds
+    each coefficient into a bucket keyed by its base's (numerator,
+    denominator): a pair of ints hashes without the modular inverse a
+    Fraction hash costs, and nothing is sorted until result(). Float mode
+    keeps the left fold of ExpSum.__add__, so every digit matches adding
+    the sums one at a time.
+    """
+
+    def __init__(self, mode: Mode):
+        self.mode = mode
+        self._buckets: Dict[Tuple[int, int], List[Scalar]] = {}
+        self._folded: Optional[ExpSum] = None
+
+    def add_pairs(self, pairs: Iterable[Tuple[Scalar, Scalar]]) -> None:
+        """Exact mode only: add (base, coeff) pairs of Fractions."""
+        buckets = self._buckets
+        for base, coeff in pairs:
+            key = (base.numerator, base.denominator)
+            entry = buckets.get(key)
+            if entry is None:
+                buckets[key] = [base, coeff]
+            else:
+                entry[1] = entry[1] + coeff
+
+    def add(self, exp_sum: ExpSum) -> None:
+        if self.mode is Mode.EXACT:
+            self.add_pairs(exp_sum.terms)
+        elif self._folded is None:
+            self._folded = exp_sum
+        else:
+            self._folded = self._folded + exp_sum
+
+    def result(self) -> ExpSum:
+        if self.mode is Mode.FLOAT:
+            return ExpSum.zero(self.mode) if self._folded is None else self._folded
+        kept = [(b, c) for b, c in self._buckets.values() if c != 0]
+        kept.sort(key=lambda bc: bc[0])
+        return ExpSum(self.mode, tuple(kept))
 
 
 def _split_sign(value: Scalar) -> Tuple[str, Scalar]:
@@ -237,22 +282,6 @@ class ClosedFormSolution:
         for p in range(self.k):
             value = self.offsets[p]
             for mono, exp_sum in self.tables[p].items():
-                term = exp_sum.evaluate(i)
-                for l, e in enumerate(mono):
-                    if e:
-                        term = term * z0[l] ** e
-                value = value + term
-            out.append(value)
-        return out
-
-    def evaluate_transformed(self, i: int, z0: Sequence[Scalar]) -> List[Scalar]:
-        if len(z0) != self.k:
-            raise ArityError(f"initial state has {len(z0)} entries, "
-                             f"expected {self.k}")
-        out: List[Scalar] = []
-        for p in range(self.k):
-            value = self.mode.zero
-            for mono, exp_sum in self.transformed[p].items():
                 term = exp_sum.evaluate(i)
                 for l, e in enumerate(mono):
                     if e:
@@ -612,6 +641,11 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
     if identity_transform:
         tables = [dict(t) for t in transformed_tables]
     else:
+        # each cell keeps a running sum, put in canonical form once at the
+        # end. Exact addition does not depend on order, so exact sums are
+        # bucketed by base; float addition does, so float sums stay a left
+        # fold of ExpSum.__add__ in loop order and keep every digit of it.
+        running: List[Dict[Monomial, ExpSumAccumulator]] = [dict() for _ in range(w)]
         for l in range(1, size):
             # basis monomial l of the shifted coordinates, written in the
             # original initial conditions
@@ -631,11 +665,13 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
                     addition = carrier.scaled(gamma)
                     if addition.is_zero():
                         continue
-                    current = tables[p].get(mono)
-                    tables[p][mono] = (addition if current is None
-                                       else current + addition)
+                    cell = running[p].get(mono)
+                    if cell is None:
+                        cell = running[p][mono] = ExpSumAccumulator(mode)
+                    cell.add(addition)
         for p in range(w):
-            tables[p] = {m: s for m, s in tables[p].items() if not s.is_zero()}
+            sums = ((m, cell.result()) for m, cell in running[p].items())
+            tables[p] = {m: s for m, s in sums if not s.is_zero()}
 
     return ClosedFormSolution(
         names=names,

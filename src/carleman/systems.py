@@ -427,6 +427,10 @@ def _is_nearly_rational(x: float, max_denominator: int = 64,
     return None
 
 
+# how close to 1 a float eigenvalue must be to count as the eigenvalue 1
+_FLOAT_ROOT_TOL = 1e-6
+
+
 def check_shift_admissible(system: PolySystem, max_power: int,
                            unity_bound: int = 24, tol: float = 1e-9,
                            seed: int = 0) -> AdmissibilityReport:
@@ -468,6 +472,16 @@ def check_shift_admissible(system: PolySystem, max_power: int,
         for (mono_a, val_a), (mono_b, val_b) in zip(by_value, by_value[1:]):
             if nearly_equal(val_a, val_b, tol):
                 collisions.append((mono_a, mono_b, val_a))
+        # a numerical fixed point is only as accurate as its root, and at a
+        # double root that is about the square root of the residual. So an
+        # eigenvalue within root accuracy of 1 collides with the constant
+        # monomial's product 1, as it does in exact mode; the scan above
+        # already names one within tol
+        constant, one = products[0]
+        for mono, value in products:
+            if (sum(mono) == 1 and not nearly_equal(value, one, tol)
+                    and nearly_equal(value, one, _FLOAT_ROOT_TOL)):
+                collisions.append((constant, mono, value))
     advisories: List[str] = []
     if system.k == 1:
         lam = eigs[0]

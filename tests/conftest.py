@@ -7,7 +7,7 @@ byte-for-byte identical.
 
 import random
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from hypothesis import settings
 
@@ -37,11 +37,14 @@ def random_monomial(rng: random.Random, k: int, degree: int) -> Tuple[int, ...]:
     return tuple(mono)
 
 
-def random_triangular_system(rng: random.Random) -> PolySystem:
+def random_triangular_system(rng: random.Random,
+                             k: Optional[int] = None) -> PolySystem:
     """Zero-constant system with an upper-triangular linear part whose
     eigenvalues are signed prime powers, so every monomial up to any
-    truncation order lands on a distinct eigenvalue product."""
-    k = rng.randint(1, 3)
+    truncation order lands on a distinct eigenvalue product. k is drawn
+    from 1..3 unless given."""
+    if k is None:
+        k = rng.randint(1, 3)
     power_sign = [rng.choice((1, -1)) for _ in range(k)]
     diag = [Fraction(PRIMES[j]) ** power_sign[j] for j in range(k)]
     polys: List[Poly] = []

@@ -1,17 +1,22 @@
-"""Dense reference implementations the package no longer ships.
+"""Reference implementations the package no longer ships.
 
 The package keeps T, P and P^-1 as sparse rows ({column: value}, zeros
-absent). The functions here are the textbook dense loops the sparse back
+absent). The dense functions here are the textbook loops the sparse back
 substitution replaced, kept as oracles: for the same input they must give
 the same P and P^-1 cell for cell, float bits included. dense() and
 sparse() convert between the two layouts for tests written against dense
-lists.
+lists. fold_pullback() is the pullback to original coordinates as a plain
+fold of ExpSum additions, the oracle for the bucketed pullback in
+solver._assemble.
 """
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from carleman.linalg import Matrix, identity, mat_mul
+from carleman.embedding import MonomialBasis
+from carleman.linalg import Matrix, identity, mat_mul, mat_vec
+from carleman.poly import Monomial, Poly
 from carleman.scalars import Mode, Scalar
+from carleman.solver import ExpSum
 
 
 def dense(rows: Sequence[Dict[int, Scalar]], mode: Mode = Mode.EXACT) -> Matrix:
@@ -68,3 +73,48 @@ def power_from_decomposition(spec, exponent: int) -> Matrix:
     scaled = [[modal[r][c] * spec.eigenvalues[c] ** exponent
                for c in range(n)] for r in range(n)]
     return mat_mul(scaled, dense(spec.modal_inv, spec.mode))
+
+
+def fold_pullback(solution) -> List[Dict[Monomial, ExpSum]]:
+    """Original-coordinate tables rebuilt from solution.transformed and
+    solution.transform. Each addition to a cell rebuilds the whole sum
+    with ExpSum.__add__, in the loop order of the package's pullback."""
+    mode = solution.mode
+    w = solution.k
+    basis = MonomialBasis(w, solution.order)
+    size = len(basis)
+    flows = [[table.get(mono) for mono in basis.monomials]
+             for table in solution.transformed]
+    combined = solution.transform
+    a_rows = [list(r) for r in combined.matrix]
+    a_inv = [list(r) for r in combined.matrix_inv]
+    offset = list(combined.offset)
+    neg_ab = [-x for x in mat_vec(a_rows, offset)]
+
+    one = mode.one
+    tables: List[Dict[Monomial, ExpSum]] = [dict() for _ in range(w)]
+    for l in range(1, size):
+        # basis monomial l of the shifted coordinates, written in the
+        # original initial conditions
+        expansion = Poly.from_monomial(w, basis.monomials[l], one)
+        expansion = expansion.substitute_affine(a_rows, neg_ab)
+        carriers: List[Tuple[int, ExpSum]] = []
+        for p in range(w):
+            pairs = []
+            for q in range(w):
+                if a_inv[p][q] != 0 and flows[q][l] is not None:
+                    pairs.extend((b, c * a_inv[p][q])
+                                 for b, c in flows[q][l].terms)
+            if pairs:
+                carriers.append((p, ExpSum.from_terms(mode, pairs)))
+        for mono, gamma in expansion.terms.items():
+            for p, carrier in carriers:
+                addition = carrier.scaled(gamma)
+                if addition.is_zero():
+                    continue
+                current = tables[p].get(mono)
+                tables[p][mono] = (addition if current is None
+                                   else current + addition)
+    for p in range(w):
+        tables[p] = {m: s for m, s in tables[p].items() if not s.is_zero()}
+    return tables

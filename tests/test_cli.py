@@ -346,6 +346,18 @@ def test_unshiftable_float_system_suggests_shift_or_lower_order(tmp_path,
     assert main(["solve", path, "--order", "1", "--mode", "float"]) == 0
 
 
+def test_float_double_root_is_refused_like_exact(tmp_path, capsys):
+    # u + u^2 = u has a double root at 0 with eigenvalue 1; Newton lands
+    # about 1e-8 off it, where the eigenvalue is 1 - 7e-8
+    path = write(tmp_path, "vars: u\nu[i] = u[i-1] + u[i-1]^2\n")
+    code = main(["solve", path, "--mode", "float", "--order", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shift: no fixed point gives distinct")
+    assert "supply --shift or a lower --order" in err
+    assert main(["solve", path, "--mode", "exact", "--order", "2"]) == 2
+
+
 def test_order_zero_rejected(tmp_path, capsys):
     code = main(["solve", write(tmp_path, LOGISTIC), "--order", "0"])
     assert code == 2

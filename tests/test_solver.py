@@ -52,6 +52,34 @@ def test_expsum_drops_zero_coefficients():
     assert es.evaluate(5) == F(0)
 
 
+def test_expsum_merges_equal_bases_built_differently():
+    es = ExpSum.from_terms(Mode.EXACT, [(F(4, 2), F(1)), (F(3), F(5)),
+                                        (F(2), F(2)), (F(6, 2), F(1, 2))])
+    assert es.terms == ((F(2), F(3)), (F(3), F(11, 2)))
+
+
+def test_expsum_drops_a_cancelled_coefficient_and_keeps_the_rest():
+    es = ExpSum.from_terms(Mode.EXACT, [(F(3), F(1, 2)), (F(2), F(1)),
+                                        (F(3), F(-1, 2))])
+    assert es.terms == ((F(2), F(1)),)
+
+
+def test_expsum_scaled_by_zero_is_zero():
+    es = ExpSum.from_terms(Mode.EXACT, [(F(2), F(1)), (F(-1, 3), F(7))])
+    assert es.scaled(F(0)).is_zero()
+    assert es.scaled(F(0)) == ExpSum.zero(Mode.EXACT)
+
+
+@pytest.mark.parametrize("factor", [F(1), F(-1), F(3, 7), F(-12)])
+def test_expsum_scaled_stays_canonical(factor):
+    es = ExpSum.from_terms(Mode.EXACT, [(F(5), F(-2, 3)), (F(-3), F(1)),
+                                        (F(1, 2), F(4))])
+    expected = ExpSum.from_terms(Mode.EXACT,
+                                 [(b, c * factor) for b, c in es.terms])
+    assert es.scaled(factor) == expected
+    assert [b for b, _ in es.scaled(factor).terms] == [F(-3), F(1, 2), F(5)]
+
+
 def test_expsum_evaluate():
     es = ExpSum.from_terms(Mode.EXACT, [(F(2), F(1)), (F(4), F(-1))])
     assert [es.evaluate(i) for i in range(4)] == \
