@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from .embedding import MonomialBasis, build_transition
-from .errors import CarlemanError, ParseError
+from .errors import CarlemanError, ParseError, ShiftNotFoundError
 from .parser import parse_system, pretty_print
 from .scalars import Mode, format_scalar, parse_scalar_text, scalar_from_json, \
     scalar_to_json
@@ -146,18 +146,13 @@ def _options_from_args(args) -> SolveOptions:
     order = args.order if args.order is not None else _default_order()
     if order < 1:
         raise CarlemanError(f"--order must be >= 1, got {order}")
-    opts = SolveOptions(
+    return SolveOptions(
         order=order,
         mode=mode,
         shift=_parse_shift_flag(args.shift, mode),
         matrix=_parse_matrix_flag(args.matrix_a, mode),
         seed=args.seed,
     )
-    if hasattr(args, "max_power"):
-        opts.max_verify_power = args.max_power
-    if hasattr(args, "tolerance"):
-        opts.verify_tol = args.tolerance
-    return opts
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -301,43 +296,29 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_transform(args) -> int:
-    opts = _options_from_args(args)
-    system, names = _load_system(args, opts.mode)
-    reduced = reduce_depth(system)
-    reduced_names = list(reduced_variable_names(system, names))
-
-    # candidate listing always follows the auto policy, even when the
-    # final transform is pinned by --shift
-    probe = SolveOptions(order=opts.order, mode=opts.mode, shift="auto",
-                         matrix=opts.matrix, seed=opts.seed)
-    try:
-        _offset, trail = resolve_shift(reduced, probe)
-        auto_error = None
-    except CarlemanError as exc:
-        trail = []
-        auto_error = str(exc)
-
-    _reduced, transformed, combined = resolve_transform(system, opts)
-
-    if args.format == "json":
-        payload = {
-            "candidates": [{
-                "shift": _vector_json(cand.offset),
-                "admissible": (cand.report.passed
-                               if cand.report is not None else None),
-                "note": cand.note or None,
-                "advisories": (list(cand.report.advisories)
-                               if cand.report is not None else []),
-            } for cand in trail],
-            "shift": _vector_json(combined.offset),
-            "matrix": [_vector_json(row) for row in combined.matrix],
-            "system": pretty_print(transformed, reduced_names),
+def _candidates_json(trail, with_collisions: bool = False) -> list:
+    out = []
+    for cand in trail:
+        entry = {
+            "shift": _vector_json(cand.offset),
+            "admissible": (cand.report.passed
+                           if cand.report is not None else None),
+            "note": cand.note or None,
+            "advisories": (list(cand.report.advisories)
+                           if cand.report is not None else []),
         }
-        text = json.dumps(payload, indent=2) + "\n"
-        _emit(text, args.output)
-        return EXIT_OK
+        if with_collisions:
+            entry["collisions"] = [{
+                "monomials": [list(mono_a), list(mono_b)],
+                "value": scalar_to_json(value),
+            } for mono_a, mono_b, value in (cand.report.collisions
+                                            if cand.report is not None
+                                            else ())]
+        out.append(entry)
+    return out
 
+
+def _candidates_text(trail, auto_error: Optional[str]) -> list:
     lines = ["candidates:"]
     if not trail:
         lines.append(f"  (none: {auto_error})" if auto_error else "  (none)")
@@ -354,6 +335,55 @@ def _cmd_transform(args) -> int:
                          f"both give {format_scalar(value)}")
         for note in cand.report.advisories:
             lines.append(f"    advisory: {note}")
+    return lines
+
+
+def _cmd_transform(args) -> int:
+    opts = _options_from_args(args)
+    system, names = _load_system(args, opts.mode)
+    reduced = reduce_depth(system)
+    reduced_names = list(reduced_variable_names(system, names))
+
+    # candidate listing always follows the auto policy, even when the
+    # final transform is pinned by --shift
+    probe = SolveOptions(order=opts.order, mode=opts.mode, shift="auto",
+                         matrix=opts.matrix, seed=opts.seed)
+    try:
+        _offset, trail = resolve_shift(reduced, probe)
+        auto_error = None
+    except ShiftNotFoundError as exc:
+        trail = exc.trail
+        auto_error = str(exc)
+    except CarlemanError as exc:
+        trail = []
+        auto_error = str(exc)
+
+    try:
+        _reduced, transformed, combined = resolve_transform(system, opts)
+    except ShiftNotFoundError:
+        # the refused candidates, each with its collisions, are the report
+        # a failing shift search needs; the error itself goes to stderr
+        if args.format == "json":
+            payload = {"candidates": _candidates_json(trail,
+                                                      with_collisions=True)}
+            _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        else:
+            _emit("\n".join(_candidates_text(trail, auto_error)) + "\n",
+                  args.output)
+        raise
+
+    if args.format == "json":
+        payload = {
+            "candidates": _candidates_json(trail),
+            "shift": _vector_json(combined.offset),
+            "matrix": [_vector_json(row) for row in combined.matrix],
+            "system": pretty_print(transformed, reduced_names),
+        }
+        text = json.dumps(payload, indent=2) + "\n"
+        _emit(text, args.output)
+        return EXIT_OK
+
+    lines = _candidates_text(trail, auto_error)
     chosen_text = "[" + ", ".join(format_scalar(x)
                                   for x in combined.offset) + "]"
     lines.append(f"chosen shift: {chosen_text}")

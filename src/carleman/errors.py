@@ -55,7 +55,12 @@ class NotShiftedError(CarlemanError):
 
 
 class ShiftNotFoundError(CarlemanError):
-    """No usable fixed point could be found or verified."""
+    """No usable fixed point could be found or verified; trail holds the
+    candidates tried, each with its admissibility outcome."""
+
+    def __init__(self, message: str, trail=()):
+        super().__init__(message)
+        self.trail = tuple(trail)
 
 
 class TriangularizationError(CarlemanError):

@@ -172,7 +172,9 @@ class Poly:
         """Integer power by repeated squaring, truncating along the way."""
         if exponent < 0:
             raise ArityError(f"negative exponent {exponent}")
-        result = Poly.constant(self.var_count, Fraction(1))
+        # an int 1 keeps integer polynomials integer, and multiplies a
+        # Fraction or complex coefficient exactly as Fraction(1) does
+        result = Poly.constant(self.var_count, 1)
         base = self
         e = exponent
         while e:
@@ -282,11 +284,6 @@ class Poly:
                 lowered = tuple(x - 1 if i == var else x for i, x in enumerate(mono))
                 terms[lowered] = terms.get(lowered, 0) + coeff * e
         return Poly(self.var_count, terms)
-
-    def drop_small_terms(self, threshold: float) -> "Poly":
-        """Float-mode cleanup: discard coefficients at or below threshold."""
-        return Poly(self.var_count,
-                    {m: c for m, c in self.terms.items() if abs(c) > threshold})
 
 
 # -- univariate root finding -------------------------------------------

@@ -20,16 +20,22 @@ verify() therefore compares coefficients, not trajectory values, against
 a brute-force symbolic iteration oracle. Verification happens in the
 shifted coordinates when the shift is nonzero (there the coefficients
 are exact); with a zero shift the original-coordinate table is checked
-directly.
+directly. In exact mode both sides stay in integers until the comparison:
+the oracle holds integer polynomials over one shared denominator, reduced
+by their common gcd after every step, and the closed form is evaluated
+from one running power per distinct eigenvalue over a common
+denominator. Each side of a compared coefficient becomes one Fraction.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .embedding import MonomialBasis, build_transition
 from .errors import (ArityError, CarlemanError, NotShiftedError,
@@ -70,9 +76,13 @@ class ExpSum:
     @classmethod
     def from_terms(cls, mode: Mode,
                    pairs: Sequence[Tuple[Scalar, Scalar]],
-                   merge_tol: float = 1e-9) -> "ExpSum":
+                   merge_tol: float = 1e-9,
+                   rank: Optional[Dict[Tuple[int, int], int]] = None
+                   ) -> "ExpSum":
+        """Canonical sum of (base, coeff) pairs. rank, exact mode only, is
+        _base_rank() of a list holding every base."""
         if mode is Mode.EXACT:
-            running = ExpSumAccumulator(mode)
+            running = ExpSumAccumulator(mode, rank)
             running.add_pairs(pairs)
             return running.result()
         merged: List[List[Scalar]] = []
@@ -152,10 +162,16 @@ class ExpSumAccumulator:
     Fraction hash costs, and nothing is sorted until result(). Float mode
     keeps the left fold of ExpSum.__add__, so every digit matches adding
     the sums one at a time.
+
+    rank, exact mode only, maps each (numerator, denominator) key to the
+    position of its base in ascending order (_base_rank()), so that result()
+    sorts ints instead of comparing Fractions.
     """
 
-    def __init__(self, mode: Mode):
+    def __init__(self, mode: Mode,
+                 rank: Optional[Dict[Tuple[int, int], int]] = None):
         self.mode = mode
+        self._rank = rank
         self._buckets: Dict[Tuple[int, int], List[Scalar]] = {}
         self._folded: Optional[ExpSum] = None
 
@@ -181,9 +197,21 @@ class ExpSumAccumulator:
     def result(self) -> ExpSum:
         if self.mode is Mode.FLOAT:
             return ExpSum.zero(self.mode) if self._folded is None else self._folded
-        kept = [(b, c) for b, c in self._buckets.values() if c != 0]
-        kept.sort(key=lambda bc: bc[0])
-        return ExpSum(self.mode, tuple(kept))
+        buckets = self._buckets
+        if self._rank is None:
+            keys = sorted(buckets, key=lambda key: buckets[key][0])
+        else:
+            keys = sorted(buckets, key=self._rank.__getitem__)
+        return ExpSum(self.mode, tuple((b, c) for b, c in map(buckets.get, keys)
+                                       if c != 0))
+
+
+def _base_rank(bases: Iterable[Fraction]) -> Dict[Tuple[int, int], int]:
+    """Position of each distinct exact base in ascending order, keyed by
+    (numerator, denominator)."""
+    distinct = {(b.numerator, b.denominator): b for b in bases}
+    return {(b.numerator, b.denominator): r
+            for r, b in enumerate(sorted(distinct.values()))}
 
 
 def _split_sign(value: Scalar) -> Tuple[str, Scalar]:
@@ -231,9 +259,7 @@ class SolveOptions:
     mode: Mode = Mode.EXACT
     shift: ShiftSpec = "auto"
     matrix: Optional[Sequence[Sequence[Scalar]]] = None
-    max_verify_power: int = 5
     seed: int = 0
-    verify_tol: float = 1e-8
     collision_tol: float = 1e-9
     unity_bound: int = 24
     shift_seeds: Optional[Sequence[Sequence[Scalar]]] = None
@@ -244,9 +270,6 @@ class SolveOptions:
         if isinstance(self.shift, str) and self.shift not in ("auto", "none"):
             raise CarlemanError(
                 f"shift must be 'auto', 'none', or explicit values, got {self.shift!r}")
-        if self.max_verify_power < 0:
-            raise CarlemanError(
-                f"verification power must be >= 0, got {self.max_verify_power}")
 
 
 @dataclass(frozen=True)
@@ -477,7 +500,7 @@ def resolve_shift(system: PolySystem, opts: SolveOptions
         raise ShiftNotFoundError(
             f"shift: no fixed point gives distinct eigenvalue products up to "
             f"degree {opts.order} (candidates tried: {tried}); "
-            f"supply --shift or {remedy}")
+            f"supply --shift or {remedy}", trail=trail)
     return chosen, trail
 
 
@@ -609,6 +632,8 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
     modal = spectral.modal
     modal_inv = spectral.modal_inv
     eigs = spectral.eigenvalues
+    # every base below is an eigenvalue, so exact sums sort by one ranking
+    rank = _base_rank(eigs) if mode is Mode.EXACT else None
 
     var_rows = [basis.index_of(tuple(1 if t == q else 0 for t in range(w)))
                 for q in range(w)]
@@ -625,7 +650,7 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
             for l, q_jl in modal_inv[j].items():
                 pairs_by_column.setdefault(l, []).append((base, p_rj * q_jl))
         for l in sorted(pairs_by_column):
-            exp_sum = ExpSum.from_terms(mode, pairs_by_column[l])
+            exp_sum = ExpSum.from_terms(mode, pairs_by_column[l], rank=rank)
             if not exp_sum.is_zero():
                 flows[q][l] = exp_sum
                 transformed_tables[q][basis.monomials[l]] = exp_sum
@@ -659,7 +684,8 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
                         pairs.extend((b, c * a_inv[p][q])
                                      for b, c in flows[q][l].terms)
                 if pairs:
-                    carriers.append((p, ExpSum.from_terms(mode, pairs)))
+                    carriers.append((p, ExpSum.from_terms(mode, pairs,
+                                                      rank=rank)))
             for mono, gamma in expansion.terms.items():
                 for p, carrier in carriers:
                     addition = carrier.scaled(gamma)
@@ -667,7 +693,7 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
                         continue
                     cell = running[p].get(mono)
                     if cell is None:
-                        cell = running[p][mono] = ExpSumAccumulator(mode)
+                        cell = running[p][mono] = ExpSumAccumulator(mode, rank)
                     cell.add(addition)
         for p in range(w):
             sums = ((m, cell.result()) for m, cell in running[p].items())
@@ -689,19 +715,82 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
 _ORACLE_TERM_LIMIT = 10 ** 6
 
 
-def _identity_polys(system: PolySystem) -> List[Poly]:
+@dataclass(frozen=True)
+class _ScaledState:
+    """Exact oracle state in integers: variable l is numerators[l] divided
+    by denominator. The denominator is positive, and no factor above 1
+    divides it and every numerator coefficient."""
+
+    numerators: List[Poly]
+    denominator: int
+
+    @classmethod
+    def reduced(cls, numerators: List[Poly], denominator: int) -> "_ScaledState":
+        if denominator == 1:
+            return cls(numerators, 1)
+        common = math.gcd(denominator, *(c for p in numerators
+                                         for c in p.terms.values()))
+        if common > 1:
+            numerators = [Poly(p.var_count,
+                               {m: c // common for m, c in p.terms.items()})
+                          for p in numerators]
+            denominator //= common
+        return cls(numerators, denominator)
+
+    def fraction_terms(self) -> List[Dict[Monomial, Fraction]]:
+        den = self.denominator
+        return [{m: Fraction(c, den) for m, c in p.terms.items()}
+                for p in self.numerators]
+
+
+_OracleState = Union[List[Poly], _ScaledState]
+
+
+def _oracle_start(system: PolySystem) -> _OracleState:
+    """The identity map: exact mode as integer polynomials over 1."""
+    if system.mode is Mode.EXACT:
+        units = [tuple(int(t == l) for t in range(system.k))
+                 for l in range(system.k)]
+        return _ScaledState([Poly(system.k, {u: 1}) for u in units], 1)
     one = system.mode.one
     return [Poly.variable(system.k, l).scaled(one) for l in range(system.k)]
 
 
-def _oracle_step(system: PolySystem, state: List[Poly],
-                 max_degree: Optional[int]) -> List[Poly]:
-    new_state = [p.compose(state, max_degree) for p in system.polys]
+def _integer_system(system: PolySystem, denominator: int
+                    ) -> Tuple[List[Poly], int]:
+    """Integer polynomials F and the integer E with f(N / D) = F(N) / E for
+    every update polynomial f, D the given denominator: with d the lcm of
+    the coefficient denominators and g the system's degree, a coefficient
+    a_m becomes a_m * d * D^(g - |m|) and E = d * D^g."""
+    scale = math.lcm(*(c.denominator for p in system.polys
+                       for c in p.terms.values()))
+    degree = max(0, max(p.degree() for p in system.polys))
+    den_powers = [denominator ** e for e in range(degree + 1)]
+    polys = [Poly(system.k, {m: c.numerator * (scale // c.denominator)
+                             * den_powers[degree - sum(m)]
+                             for m, c in p.terms.items()})
+             for p in system.polys]
+    return polys, scale * den_powers[degree]
+
+
+def _oracle_step(system: PolySystem, state: _OracleState,
+                 max_degree: Optional[int]) -> _OracleState:
+    """Compose the update map with the state, dropping degrees above
+    max_degree. Exact states stay integer and are reduced by the gcd of
+    the new denominator and all numerator coefficients."""
+    if isinstance(state, _ScaledState):
+        polys, denominator = _integer_system(system, state.denominator)
+        arguments = state.numerators
+    else:
+        polys, arguments = system.polys, state
+    new_state = [p.compose(arguments, max_degree) for p in polys]
     total_terms = sum(len(p.terms) for p in new_state)
     if total_terms > _ORACLE_TERM_LIMIT:
         raise SizeLimitError(
             f"symbolic iteration exceeded {_ORACLE_TERM_LIMIT} terms; "
             f"lower the step count or the degree cutoff")
+    if isinstance(state, _ScaledState):
+        return _ScaledState.reduced(new_state, denominator)
     return new_state
 
 
@@ -711,14 +800,55 @@ def oracle_iterate_symbolic(system: PolySystem, i: int,
     values. With a zero constant term and a degree cutoff N, the retained
     coefficients are exact (degree grading); without a cutoff the
     expansion is exact but can explode, so a term-count guard applies.
+    Exact mode iterates in integers and returns Fraction coefficients.
     """
     system.require_depth_one("symbolic iteration")
     if i < 0:
         raise ValueError(f"iteration count must be non-negative, got {i}")
-    state = _identity_polys(system)
+    state = _oracle_start(system)
     for _ in range(i):
         state = _oracle_step(system, state, max_degree)
+    if isinstance(state, _ScaledState):
+        return [Poly(system.k, terms) for terms in state.fraction_terms()]
     return state
+
+
+def _exact_table_values(tables: Sequence[Dict[Monomial, ExpSum]], steps: int
+                        ) -> Iterator[List[Dict[Monomial, Fraction]]]:
+    """Every cell of exact tables at i = 0..steps, in integer arithmetic.
+
+    With Q the lcm of the denominators of all bases, a base p/q is
+    m / Q with the integer m = p * (Q/q). A cell sum_j c_j b_j^i is then
+    (sum_j r_j m_j^i) / (S Q^i), where S is the lcm of the cell's
+    coefficient denominators and r_j = c_j S. Each step advances one
+    running power per distinct base and Q^i by one integer multiply, and
+    makes one Fraction per cell.
+    """
+    keys: Dict[Tuple[int, int], int] = {}
+    for table in tables:
+        for exp_sum in table.values():
+            for base, _ in exp_sum.terms:
+                keys.setdefault((base.numerator, base.denominator), len(keys))
+    common = math.lcm(*(den for _, den in keys))
+    multipliers = [num * (common // den) for num, den in keys]
+    cells = []
+    for table in tables:
+        row = {}
+        for mono, exp_sum in table.items():
+            lcd = math.lcm(*(c.denominator for _, c in exp_sum.terms))
+            row[mono] = (lcd, [(keys[(b.numerator, b.denominator)],
+                                c.numerator * (lcd // c.denominator))
+                               for b, c in exp_sum.terms])
+        cells.append(row)
+    powers = [1] * len(multipliers)
+    common_power = 1
+    for i in range(steps + 1):
+        if i:
+            powers = [x * m for x, m in zip(powers, multipliers)]
+            common_power *= common
+        yield [{mono: Fraction(sum(r * powers[j] for j, r in terms),
+                               lcd * common_power)
+                for mono, (lcd, terms) in row.items()} for row in cells]
 
 
 @dataclass(frozen=True)
@@ -790,14 +920,20 @@ class VerificationReport:
 def verify(solution: ClosedFormSolution, system: PolySystem,
            max_power: Optional[int] = None, tol: float = 1e-8
            ) -> VerificationReport:
-    """Compare every stored coefficient against symbolic iteration.
+    """Compare every stored coefficient against symbolic iteration, at
+    steps 0..max_power (default: the solution's order; must be >= 0).
 
     The comparison runs in the shifted coordinates when the solution
     carries a nonzero offset (coefficients are exact there) and in the
-    original coordinates otherwise. Exact mode demands equality; float
-    mode allows relative error up to tol.
+    original coordinates otherwise. Exact mode demands equality and
+    computes both sides in integers: the oracle as integer polynomials
+    over one shared denominator, the closed form from one table of
+    integer powers (_exact_table_values), with one Fraction per side of
+    each compared cell. Float mode allows relative error up to tol.
     """
     steps = solution.order if max_power is None else max_power
+    if steps < 0:
+        raise CarlemanError(f"max_power must be >= 0, got {steps}")
     reduced = reduce_depth(system)
     if reduced.mode is not solution.mode:
         raise CarlemanError("solution and system modes differ")
@@ -816,22 +952,30 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
         coordinates = "original"
     exact = solution.mode is Mode.EXACT
     order = solution.order
+    zero = target.mode.zero
+    exact_values = _exact_table_values(tables, steps) if exact else None
 
     rows: List[VerificationRow] = []
-    state = _identity_polys(target)
+    state = _oracle_start(target)
     worst = 0.0
     for i in range(steps + 1):
+        if exact:
+            oracle = state.fraction_terms()
+            values = next(exact_values)
+        else:
+            oracle = [p.terms for p in state]
+            values = [{m: s.evaluate(i) for m, s in table.items()}
+                      for table in tables]
         for p in range(target.k):
-            oracle_terms = {m: c for m, c in state[p].terms.items()
+            oracle_terms = {m: c for m, c in oracle[p].items()
                             if sum(m) <= order}
-            monomials = set(oracle_terms) | set(tables[p])
+            monomials = set(oracle_terms) | set(values[p])
             for mono in sorted(monomials, key=grlex_key):
-                expected = oracle_terms.get(mono, target.mode.zero)
-                stored = tables[p].get(mono)
-                got = stored.evaluate(i) if stored is not None else target.mode.zero
+                expected = oracle_terms.get(mono, zero)
+                got = values[p].get(mono, zero)
                 if exact:
                     ok = expected == got
-                    error = float(abs(expected - got))
+                    error = 0.0 if ok else float(abs(expected - got))
                 else:
                     scale = max(1.0, abs(expected))
                     error = abs(expected - got)

@@ -7,16 +7,22 @@ the same P and P^-1 cell for cell, float bits included. dense() and
 sparse() convert between the two layouts for tests written against dense
 lists. fold_pullback() is the pullback to original coordinates as a plain
 fold of ExpSum additions, the oracle for the bucketed pullback in
-solver._assemble.
+solver._assemble. fraction_verify() is verify() with the oracle iterated
+in Fraction (or complex) polynomials and every cell evaluated by
+ExpSum.evaluate, the oracle for the integer evaluation of exact verify.
 """
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from carleman.embedding import MonomialBasis
 from carleman.linalg import Matrix, identity, mat_mul, mat_vec
-from carleman.poly import Monomial, Poly
+from carleman.errors import CarlemanError, SizeLimitError
+from carleman.poly import Monomial, Poly, grlex_key
 from carleman.scalars import Mode, Scalar
-from carleman.solver import ExpSum
+from carleman.solver import (ClosedFormSolution, ExpSum, VerificationReport,
+                             VerificationRow, _FLOAT_CONSTANT_TOL,
+                             _ORACLE_TERM_LIMIT, _clean_float_constants)
+from carleman.systems import PolySystem, apply_affine, reduce_depth
 
 
 def dense(rows: Sequence[Dict[int, Scalar]], mode: Mode = Mode.EXACT) -> Matrix:
@@ -118,3 +124,80 @@ def fold_pullback(solution) -> List[Dict[Monomial, ExpSum]]:
     for p in range(w):
         tables[p] = {m: s for m, s in tables[p].items() if not s.is_zero()}
     return tables
+
+
+def _identity_polys(system: PolySystem) -> List[Poly]:
+    one = system.mode.one
+    return [Poly.variable(system.k, l).scaled(one) for l in range(system.k)]
+
+
+def _oracle_step(system: PolySystem, state: List[Poly],
+                 max_degree: Optional[int]) -> List[Poly]:
+    new_state = [p.compose(state, max_degree) for p in system.polys]
+    total_terms = sum(len(p.terms) for p in new_state)
+    if total_terms > _ORACLE_TERM_LIMIT:
+        raise SizeLimitError(
+            f"symbolic iteration exceeded {_ORACLE_TERM_LIMIT} terms; "
+            f"lower the step count or the degree cutoff")
+    return new_state
+
+
+def fraction_verify(solution: ClosedFormSolution, system: PolySystem,
+                    max_power: Optional[int] = None, tol: float = 1e-8
+                    ) -> VerificationReport:
+    """verify() as it was before the integer evaluation: the oracle state
+    is Fraction (or complex) polynomials and every stored cell is
+    ExpSum.evaluate(i)."""
+    steps = solution.order if max_power is None else max_power
+    reduced = reduce_depth(system)
+    if reduced.mode is not solution.mode:
+        raise CarlemanError("solution and system modes differ")
+    if reduced.k != solution.k:
+        raise CarlemanError(
+            f"solution covers {solution.k} variables, system has {reduced.k}")
+    use_transformed = any(x != 0 for x in solution.offsets)
+    if use_transformed:
+        target = apply_affine(reduced, solution.transform)
+        target = _clean_float_constants(target, _FLOAT_CONSTANT_TOL)
+        tables = solution.transformed
+        coordinates = "transformed"
+    else:
+        target = reduced
+        tables = solution.tables
+        coordinates = "original"
+    exact = solution.mode is Mode.EXACT
+    order = solution.order
+
+    rows: List[VerificationRow] = []
+    state = _identity_polys(target)
+    worst = 0.0
+    for i in range(steps + 1):
+        for p in range(target.k):
+            oracle_terms = {m: c for m, c in state[p].terms.items()
+                            if sum(m) <= order}
+            monomials = set(oracle_terms) | set(tables[p])
+            for mono in sorted(monomials, key=grlex_key):
+                expected = oracle_terms.get(mono, target.mode.zero)
+                stored = tables[p].get(mono)
+                got = stored.evaluate(i) if stored is not None else target.mode.zero
+                if exact:
+                    ok = expected == got
+                    error = float(abs(expected - got))
+                else:
+                    scale = max(1.0, abs(expected))
+                    error = abs(expected - got)
+                    ok = error <= tol * scale
+                worst = max(worst, error)
+                rows.append(VerificationRow(
+                    step=i, variable=solution.names[p], monomial=mono,
+                    expected=expected, got=got, error=error, ok=ok))
+        if i < steps:
+            state = _oracle_step(target, state, order)
+    return VerificationReport(
+        rows=tuple(rows),
+        passed=all(r.ok for r in rows),
+        max_discrepancy=worst,
+        coordinates=coordinates,
+        order=order,
+        steps=steps,
+    )

@@ -212,6 +212,14 @@ def test_verify_corrupt_solution_file(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_verify_negative_max_power_exits_2(tmp_path, capsys):
+    code = main(["verify", write(tmp_path, COUPLED), "--max-power", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_power must be >= 0, got -1" in captured.err
+
+
 # -- eval -------------------------------------------------------------------
 
 
@@ -356,6 +364,49 @@ def test_float_double_root_is_refused_like_exact(tmp_path, capsys):
     assert err.startswith("error: shift: no fixed point gives distinct")
     assert "supply --shift or a lower --order" in err
     assert main(["solve", path, "--mode", "exact", "--order", "2"]) == 2
+
+
+DOUBLE_ROOT = "vars: u\nu[i] = u[i-1] + u[i-1]^2\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_transform_lists_refused_candidates_then_exits_2(tmp_path, capsys,
+                                                         mode):
+    path = write(tmp_path, DOUBLE_ROOT)
+    code = main(["transform", path, "--order", "2", "--mode", mode])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "candidates:"
+    refused = [l for l in lines if l.startswith("  shift [")]
+    assert refused and all(": FAIL (eigenvalues" in l for l in refused)
+    assert "    collision: (0,) and (1,) both give" in captured.out
+    assert "chosen shift" not in captured.out
+    assert captured.err.startswith("error: shift: no fixed point gives")
+
+    code = main(["transform", path, "--order", "2", "--mode", mode,
+                 "--format", "json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert list(data) == ["candidates"]
+    assert len(data["candidates"]) == len(refused)
+    for cand in data["candidates"]:
+        assert cand["admissible"] is False
+        assert cand["collisions"][0]["monomials"] == [[0], [1]]
+    assert captured.err.startswith("error: shift: no fixed point gives")
+
+
+def test_transform_with_pinned_shift_lists_refused_candidates(tmp_path,
+                                                              capsys):
+    code = main(["transform", write(tmp_path, DOUBLE_ROOT), "--order", "2",
+                 "--shift", "0"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "(none:" not in out
+    assert "  shift [0]: FAIL (eigenvalues 1)" in out
+    assert "    collision: (0,) and (2,) both give 1" in out
+    assert "chosen shift: [0]" in out
 
 
 def test_order_zero_rejected(tmp_path, capsys):

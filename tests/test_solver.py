@@ -137,8 +137,10 @@ def test_options_validation():
         SolveOptions(order=0)
     with pytest.raises(CarlemanError):
         SolveOptions(shift="sideways")
-    with pytest.raises(CarlemanError):
-        SolveOptions(max_verify_power=-1)
+    system, names = logistic(F(2))
+    solution = solve(system, SolveOptions(order=2), names=names)
+    with pytest.raises(CarlemanError, match="max_power must be >= 0"):
+        verify(solution, system, max_power=-1)
 
 
 # -- logistic map closed forms -----------------------------------------------------

@@ -1,0 +1,143 @@
+"""verify() against its Fraction oracle.
+
+Exact verify iterates the oracle as integer polynomials over one shared
+denominator and evaluates the closed form from a table of integer powers.
+oracles.fraction_verify is the loop it replaced: Fraction polynomials and
+ExpSum.evaluate. The two reports must agree row for row: with == on every
+expected and got value in exact mode, and with the same repr of every
+value in float mode (float verify runs unchanged code).
+"""
+
+import json
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from carleman import (ClosedFormSolution, SolveOptions, parse_system, solve,
+                      verify)
+from carleman.scalars import Mode
+from carleman.solver import _oracle_start, _oracle_step
+
+from conftest import random_triangular_system
+from oracles import fraction_verify
+from test_pullback_oracle import COUPLED, COUPLED_A, DEPTH_TWO, in_mode
+
+TRI3 = ("vars: x, y, z\n"
+        "x[i] = 2*x[i-1] + y[i-1]^2\n"
+        "y[i] = 3*y[i-1] + x[i-1]*z[i-1]\n"
+        "z[i] = 5*z[i-1] + x[i-1]^2\n")
+LOGISTIC = "vars: u\nu[i] = 7/2*u[i-1] - 7/2*u[i-1]^2\n"
+MODES = [Mode.EXACT, Mode.FLOAT]
+
+
+def row_values(row):
+    return (row.step, row.variable, row.monomial, row.expected, row.got,
+            row.error, row.ok)
+
+
+def assert_same_reports(solution, system):
+    order = solution.order
+    for max_power in (0, order, order + 3):
+        got = verify(solution, system, max_power=max_power)
+        want = fraction_verify(solution, system, max_power=max_power)
+        assert got.describe() == want.describe()
+        assert got.to_json() == want.to_json()
+        assert (got.passed, got.coordinates, got.steps) == \
+            (want.passed, want.coordinates, want.steps)
+        assert len(got.rows) == len(want.rows)
+        if solution.mode is Mode.EXACT:
+            assert got.passed
+            assert got.rows == want.rows
+            for row in got.rows:
+                assert type(row.expected) is Fraction
+                assert type(row.got) is Fraction
+            assert got.max_discrepancy == want.max_discrepancy
+        else:
+            assert ([repr(row_values(r)) for r in got.rows]
+                    == [repr(row_values(r)) for r in want.rows])
+            assert repr(got.max_discrepancy) == repr(want.max_discrepancy)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("order", range(1, 10))
+def test_tri3_matches_fraction_verify(mode, order):
+    system, names = parse_system(TRI3, mode)
+    solution = solve(system, SolveOptions(order=order, mode=mode), names)
+    assert_same_reports(solution, system)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("order", range(2, 11))
+def test_coupled_matches_fraction_verify(mode, order):
+    system, names = parse_system(COUPLED, mode)
+    solution = solve(system, SolveOptions(order=order, mode=mode,
+                                          matrix=COUPLED_A), names)
+    assert_same_reports(solution, system)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("seed", range(6))
+def test_random_triangular_systems_match_fraction_verify(mode, seed):
+    system = in_mode(random_triangular_system(random.Random(seed)), mode)
+    solution = solve(system, SolveOptions(order=4, mode=mode))
+    assert_same_reports(solution, system)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_depth_two_system_matches_fraction_verify(mode):
+    system, names = parse_system(DEPTH_TWO, mode)
+    solution = solve(system, SolveOptions(order=5, mode=mode), names)
+    assert_same_reports(solution, system)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_logistic_in_original_coordinates_matches_fraction_verify(mode):
+    system, names = parse_system(LOGISTIC, mode)
+    solution = solve(system, SolveOptions(order=6, mode=mode, shift="none"),
+                     names)
+    assert solution.transform.is_identity()
+    assert_same_reports(solution, system)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_stored_solution_matches_fraction_verify(mode):
+    system, names = parse_system(COUPLED, mode)
+    solution = solve(system, SolveOptions(order=5, mode=mode,
+                                          matrix=COUPLED_A), names)
+    stored = ClosedFormSolution.from_json(
+        json.loads(json.dumps(solution.to_json())))
+    assert_same_reports(stored, system)
+
+
+def test_tampered_solution_fails_like_fraction_verify():
+    system, names = parse_system(COUPLED, Mode.EXACT)
+    data = solve(system, SolveOptions(order=4, matrix=COUPLED_A),
+                 names).to_json()
+    data["variables"][1]["terms"][2]["expsum"][0]["coeff"] = "5/7"
+    stored = ClosedFormSolution.from_json(data)
+    got = verify(stored, system, max_power=6)
+    assert not got.passed
+    assert got.rows == fraction_verify(stored, system, max_power=6).rows
+
+
+FRACTIONAL = ("vars: u, v\n"
+              "u[i] = 1/2*u[i-1] + 2/3*v[i-1]^2\n"
+              "v[i] = 1/3*v[i-1] + 3/4*u[i-1]*v[i-1] - 5/6*u[i-1]^2\n")
+
+
+@pytest.mark.parametrize("text", [LOGISTIC, FRACTIONAL])
+def test_oracle_keeps_the_least_shared_denominator(text):
+    # no factor is left common to the denominator and every numerator, so
+    # the denominator is the lcm of the reduced coefficient denominators
+    system, _ = parse_system(text, Mode.EXACT)
+    state = _oracle_start(system)
+    for _ in range(5):
+        state = _oracle_step(system, state, 4)
+        coefficients = [c for p in state.numerators for c in p.terms.values()]
+        assert all(type(c) is int for c in coefficients)
+        assert math.gcd(state.denominator, *coefficients) == 1
+        assert state.denominator == math.lcm(
+            *(c.denominator for terms in state.fraction_terms()
+              for c in terms.values()))
