@@ -23,10 +23,9 @@ from .parser import parse, parse_system, pretty_print
 from .poly import Monomial, Poly, grlex_key, total_degree
 from .scalars import Mode, Scalar, format_scalar
 from .solver import (ClosedFormSolution, ExpSum, SolveOptions,
-                     VerificationReport, eval_closed_form, eval_direct,
-                     history_to_reduced_state, oracle_iterate_symbolic,
-                     reduced_variable_names, resolve_shift, resolve_transform,
-                     solve, verify)
+                     VerificationReport, eval_direct, history_to_reduced_state,
+                     oracle_iterate_symbolic, reduced_variable_names,
+                     resolve_shift, resolve_transform, solve, verify)
 from .systems import (AdmissibilityReport, CoeffArrays, PolySystem,
                       TransformParams, apply_affine, check_shift_admissible,
                       fixed_points, reduce_depth, triangularize_linear)
@@ -44,8 +43,8 @@ __all__ = [
     "SolveOptions", "SourceSpan", "SpectralDecomposition",
     "TransformParams", "TriangularizationError", "VerificationReport",
     "ZeroPolynomialError", "apply_affine", "basis_size", "build_transition",
-    "check_shift_admissible", "decompose", "eval_closed_form", "eval_direct",
-    "fixed_points", "format_scalar", "grlex_key", "history_to_reduced_state",
+    "check_shift_admissible", "decompose", "eval_direct", "fixed_points",
+    "format_scalar", "grlex_key", "history_to_reduced_state",
     "invert_unit_triangular", "kron_index_monomial", "multinomial_entry",
     "oracle_iterate_symbolic", "parse", "parse_system", "pretty_print",
     "reduce_depth", "reduced_variable_names", "resolve_shift",

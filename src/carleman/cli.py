@@ -22,8 +22,8 @@ from .errors import CarlemanError, ParseError, ShiftNotFoundError
 from .parser import parse_system, pretty_print
 from .scalars import Mode, format_scalar, parse_scalar_text, scalar_from_json, \
     scalar_to_json
-from .solver import (ClosedFormSolution, SolveOptions, eval_closed_form,
-                     eval_direct, history_to_reduced_state,
+from .solver import (ClosedFormSolution, SolveOptions, eval_direct,
+                     history_to_reduced_state,
                      reduced_variable_names, resolve_shift, resolve_transform,
                      solve, verify)
 from .systems import reduce_depth
@@ -273,7 +273,7 @@ def _cmd_eval(args) -> int:
     else:
         solution = solve(system, opts, names=names)
         state = history_to_reduced_state(system, history)
-        closed = eval_closed_form(solution, index - (depth - 1), state)[:k]
+        closed = solution.evaluate(index - (depth - 1), state)[:k]
     if args.format == "json":
         payload = {
             "index": index,

@@ -68,6 +68,15 @@ class Poly:
         self.var_count = var_count
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, var_count: int, terms: Dict[Monomial, Scalar]) -> "Poly":
+        """Wrap terms already in canonical form (valid exponent tuples, no
+        zero coefficient) without checking or copying them."""
+        poly = cls.__new__(cls)
+        poly.var_count = var_count
+        poly.terms = terms
+        return poly
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -126,7 +135,7 @@ class Poly:
                 terms.pop(mono, None)
             else:
                 terms[mono] = acc
-        return Poly(self.var_count, terms)
+        return Poly._trusted(self.var_count, terms)
 
     def __neg__(self) -> "Poly":
         return Poly(self.var_count, {m: -c for m, c in self.terms.items()})
@@ -166,7 +175,7 @@ class Poly:
                     terms.pop(mono, None)
                 else:
                     terms[mono] = acc
-        return Poly(self.var_count, terms)
+        return Poly._trusted(self.var_count, terms)
 
     def pow_truncated(self, exponent: int, max_degree: Optional[int] = None) -> "Poly":
         """Integer power by repeated squaring, truncating along the way."""
@@ -240,8 +249,9 @@ class Poly:
             return pow_cache[key]
 
         out = Poly.zero(inner_vars)
+        constant = (0,) * inner_vars
         for mono, coeff in self.terms.items():
-            piece = Poly.constant(inner_vars, coeff)
+            piece = Poly._trusted(inner_vars, {constant: coeff})
             for l, e in enumerate(mono):
                 if e:
                     piece = piece.mul_truncated(arg_power(l, e), max_degree)

@@ -52,15 +52,6 @@ _EXACT_ZERO = Fraction(0)
 _EXACT_ONE = Fraction(1)
 
 
-def mode_of(value: Scalar) -> Mode:
-    return Mode.EXACT if isinstance(value, Fraction) else Mode.FLOAT
-
-
-def scalar_abs(value: Scalar):
-    """Magnitude, exact for Fraction inputs."""
-    return abs(value)
-
-
 def sort_key(value: Scalar):
     """Deterministic ordering key; exact values sort numerically,
     floats by magnitude then phase."""

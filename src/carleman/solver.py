@@ -601,8 +601,12 @@ def solve(system: PolySystem, opts: Optional[SolveOptions] = None,
         raise TriangularizationError(
             "triangularize: transition matrix is not upper triangular after "
             "the transform")
-    spectral = decompose(transition.rows, mode, tol=opts.collision_tol)
-    return _assemble(transformed, basis, spectral, combined, var_names, opts)
+    var_rows = [basis.index_of(tuple(1 if t == q else 0 for t in range(w)))
+                for q in range(w)]
+    spectral = decompose(transition.rows, mode, tol=opts.collision_tol,
+                         rows=var_rows)
+    return _assemble(transformed, basis, spectral, var_rows, combined,
+                     var_names, opts)
 
 
 def reduced_variable_names(system: PolySystem,
@@ -624,8 +628,10 @@ def reduced_variable_names(system: PolySystem,
 
 
 def _assemble(transformed: PolySystem, basis: MonomialBasis,
-              spectral, combined: TransformParams,
+              spectral, var_rows: List[int], combined: TransformParams,
               names: Tuple[str, ...], opts: SolveOptions) -> ClosedFormSolution:
+    """var_rows[q] is the basis row of variable q, the only rows of
+    spectral.modal read here."""
     mode = transformed.mode
     w = transformed.k
     size = len(basis)
@@ -634,9 +640,6 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
     eigs = spectral.eigenvalues
     # every base below is an eigenvalue, so exact sums sort by one ranking
     rank = _base_rank(eigs) if mode is Mode.EXACT else None
-
-    var_rows = [basis.index_of(tuple(1 if t == q else 0 for t in range(w)))
-                for q in range(w)]
 
     # coefficient of basis monomial l in transformed variable q at step i:
     # sum over j of P[r][j] * P^-1[j][l] * eigs[j]^i, r the row of q; only
@@ -731,9 +734,9 @@ class _ScaledState:
         common = math.gcd(denominator, *(c for p in numerators
                                          for c in p.terms.values()))
         if common > 1:
-            numerators = [Poly(p.var_count,
-                               {m: c // common for m, c in p.terms.items()})
-                          for p in numerators]
+            numerators = [Poly._trusted(
+                p.var_count, {m: c // common for m, c in p.terms.items()})
+                for p in numerators]
             denominator //= common
         return cls(numerators, denominator)
 
@@ -997,12 +1000,6 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
 
 
 # -- evaluation ------------------------------------------------------------------
-
-
-def eval_closed_form(solution: ClosedFormSolution, i: int,
-                     z0: Sequence[Scalar]) -> List[Scalar]:
-    """Truncated-series value at step i; exact identity at i = 0."""
-    return solution.evaluate(i, list(z0))
 
 
 def eval_direct(system: PolySystem, i: int,

@@ -1,40 +1,46 @@
 """Eigendecomposition of upper-triangular matrices with distinct diagonal.
 
-Such a matrix T factors as P D P^-1 where D is its diagonal and column a
-of P is the eigenvector for D[a][a], computed by back substitution:
+Such a matrix T factors as P D P^-1 where D is its diagonal, column a of
+P is the right eigenvector for D[a][a] and row j of P^-1 is the left
+eigenvector for D[j][j], both 1 on the diagonal:
 
     v[a] = 1,
-    v[b] = (sum over c in (b, a] of T[b][c] v[c]) / (D[a][a] - T[b][b])
+    v[b] = (sum over c in (b, a] of T[b][c] v[c]) / (D[a][a] - T[b][b]),
+    y[j] = 1,
+    y[l] = (sum over c in [j, l) of y[c] T[c][l]) / (D[j][j] - T[l][l])
 
-for b from a-1 down to 0. P is unit upper triangular in this
-normalization, so inverting it is another back substitution, and the
-factorization is what the closed-form solver reads its coefficients from.
+for b from a-1 down to 0 and l from j+1 up to n-1. P and P^-1 are unit
+upper triangular, and the factorization is what the closed-form solver
+reads its coefficients from.
+
+Exact mode solves every row of P^-1 from T as a left eigenvector, then
+only the rows of P its caller asks for, each from x P^-1 = e_r by
+forward substitution; P is never inverted. The solver reads all of P^-1
+but only the rows of P that belong to its variables, and P's entries are
+much larger fractions than T's. Float mode keeps right eigenvectors and
+inverts P: the left-eigenvector route sums in another order, and its
+float digits fail more verifies.
 
 T, P and P^-1 are stored by rows, each row a dict {column: value} that
 holds only nonzero entries (transition matrices are 2-25% full). A
 column is solved in the style of Gilbert and Peierls (SIAM J. Sci. Stat.
 Comput. 9(5), 1988): once v[c] is final it is scattered into the rows b
 with T[b][c] != 0, and rows are finished from the bottom up, so only
-entries that can be nonzero are ever visited. P then takes at most
-n nnz(T) products and P^-1 at most n nnz(P), so the cost is
-O(n nnz(T) + n nnz(P)) instead of the dense loops' O(n^3). Each sum still
-runs over c ascending from a zero start, exactly like the dense loop, so
-float results are bit-identical to it.
-
-The module also carries direct combinatorial formulas for single entries
-of P and P^-1 (sums over strictly increasing index chains). They take
-dense matrices, are exponential in matrix size and exist to cross-check
-the back substitution on small inputs, not to be fast.
+entries that can be nonzero are ever visited. A forward substitution is
+the same loop with the indices reversed. An eigenvector of either side
+takes at most nnz(T) products, P^-1 from P at most n nnz(P) and a row of
+P from P^-1 at most nnz(P^-1), instead of the dense loops' O(n^3). Each
+float sum still runs over c ascending from a zero start, exactly like
+the dense loop, so float results are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import RepeatedEigenvalueError
-from .linalg import Matrix
 from .scalars import Mode, Scalar, format_scalar, nearly_equal
 
 SparseMatrix = List[Dict[int, Scalar]]
@@ -44,7 +50,9 @@ SparseMatrix = List[Dict[int, Scalar]]
 class SpectralDecomposition:
     """T = modal * diag(eigenvalues) * modal_inv, modal unit triangular.
 
-    modal and modal_inv are sparse rows: absent entries are zero.
+    modal and modal_inv are tuples of n sparse rows: absent entries are
+    zero. When decompose was asked for only some rows of modal, every
+    other row of modal is an empty dict.
     """
 
     eigenvalues: Tuple[Scalar, ...]
@@ -153,10 +161,38 @@ def _rows_from_columns(columns: Sequence[Dict[int, Scalar]]) -> SparseMatrix:
     return rows
 
 
+def _reversed_rows(rows: Sequence[Dict[int, Scalar]]
+                   ) -> List[List[Tuple[int, Scalar]]]:
+    """_strict_columns of the anti-transpose M'[i][j] = M[n-1-j][n-1-i]:
+    a forward substitution along the rows of M is a back substitution
+    for _solve_column, index i standing for n-1-i."""
+    last = len(rows) - 1
+    return [[(last - c, value) for c, value in rows[last - b].items()
+             if c > last - b and value != 0] for b in range(len(rows))]
+
+
+def _solve_row(reversed_rows: List[List[Tuple[int, Scalar]]], r: int,
+               finish: Callable[[int, Scalar], Scalar],
+               mode: Mode) -> Dict[int, Scalar]:
+    """One row of a forward substitution along M, nonzeros only: x[r] = 1
+    and, for c > r, x[c] = finish(c, sum over j in [r, c) of x[j] M[j][c]),
+    where reversed_rows is _reversed_rows(M). Columns come out ascending."""
+    last = len(reversed_rows) - 1
+    column = _solve_column(reversed_rows, last - r, mode.one,
+                           lambda b, acc: finish(last - b, acc), mode.zero)
+    return {last - b: value for b, value in column.items()}
+
+
 def decompose(matrix: Sequence[Dict[int, Scalar]], mode: Mode,
-              tol: float = 1e-9) -> SpectralDecomposition:
+              tol: float = 1e-9,
+              rows: Optional[Sequence[int]] = None) -> SpectralDecomposition:
     """Eigendecompose a sparse upper-triangular matrix with distinct
-    diagonal."""
+    diagonal.
+
+    rows, when given, lists the rows of modal the caller reads; the other
+    rows of modal come back empty. Exact mode then computes only those
+    rows. modal_inv is always complete.
+    """
     n = len(matrix)
     if not sparse_is_upper_triangular(matrix,
                                       0.0 if mode is Mode.EXACT else 1e-12):
@@ -164,13 +200,32 @@ def decompose(matrix: Sequence[Dict[int, Scalar]], mode: Mode,
     zero, one = mode.zero, mode.one
     diagonal = [matrix[i].get(i, zero) for i in range(n)]
     _check_distinct_diagonal(diagonal, mode, tol)
-    upper = _strict_columns(matrix)
-    modal = _rows_from_columns([
-        _solve_column(upper, a, one,
-                      lambda b, acc, lam=diagonal[a]: acc / (lam - diagonal[b]),
-                      zero)
-        for a in range(n)])
-    modal_inv = invert_unit_triangular(modal, mode)
+    wanted = set(range(n) if rows is None else rows)
+    if not wanted <= set(range(n)):
+        raise ValueError(f"requested rows {sorted(wanted)} exceed size {n}")
+    if mode is Mode.EXACT:
+        # row j of P^-1 is T's left eigenvector, and row r of P solves
+        # x P^-1 = e_r
+        by_row = _reversed_rows(matrix)
+        modal_inv = [
+            _solve_row(by_row, j, lambda l, acc, lam=diagonal[j]:
+                       acc / (lam - diagonal[l]), mode)
+            for j in range(n)]
+        by_row = _reversed_rows(modal_inv)
+        modal = [_solve_row(by_row, r, lambda c, acc: -acc, mode)
+                 if r in wanted else {} for r in range(n)]
+    else:
+        # float keeps right eigenvectors and an inversion: left
+        # eigenvectors sum in another order, and their digits fail more
+        # float verifies
+        upper = _strict_columns(matrix)
+        modal = _rows_from_columns([
+            _solve_column(upper, a, one,
+                          lambda b, acc, lam=diagonal[a]: acc / (lam - diagonal[b]),
+                          zero)
+            for a in range(n)])
+        modal_inv = invert_unit_triangular(modal, mode)
+        modal = [row if r in wanted else {} for r, row in enumerate(modal)]
     return SpectralDecomposition(
         eigenvalues=tuple(diagonal),
         modal=tuple(modal),
@@ -194,73 +249,3 @@ def invert_unit_triangular(matrix: Sequence[Dict[int, Scalar]],
         _solve_column(upper, m, one / diagonal[m],
                       lambda b, acc: -acc / diagonal[b], zero)
         for m in range(n)])
-
-
-# -- combinatorial single-entry formulas (cross-checks, exponential cost) ------
-
-_CHAIN_SIZE_CAP = 10
-
-
-def _require_small(n: int) -> None:
-    if n > _CHAIN_SIZE_CAP:
-        raise ValueError(
-            f"chain-sum formulas are exponential; capped at {_CHAIN_SIZE_CAP}x"
-            f"{_CHAIN_SIZE_CAP} (got {n})")
-
-
-def _chains(start: int, end: int) -> List[Tuple[int, ...]]:
-    """All strictly increasing index chains from start to end inclusive."""
-    if start == end:
-        return [(start,)]
-    out = []
-    for nxt in range(start + 1, end + 1):
-        for tail in _chains(nxt, end):
-            out.append((start,) + tail)
-    return out
-
-
-def chain_sum_eigenvector_entry(matrix: Matrix, b: int, a: int,
-                                mode: Mode) -> Scalar:
-    """Entry b of the eigenvector for diagonal position a, as a sum over
-    strictly increasing chains b = l0 < ... < lp = a of
-
-        (-1)^(p+1) * prod_j M[l_j][l_{j+1}] / (M[l_j][l_j] - M[a][a]).
-
-    Matches back substitution entry for entry; used only to cross-check it.
-    """
-    _require_small(len(matrix))
-    if b == a:
-        return mode.one
-    if b > a:
-        return mode.zero
-    lam = matrix[a][a]
-    total = mode.zero
-    for chain in _chains(b, a):
-        p = len(chain) - 2
-        product = mode.one
-        for l_cur, l_next in zip(chain, chain[1:]):
-            product = product * matrix[l_cur][l_next]
-            if l_cur != a:
-                product = product / (matrix[l_cur][l_cur] - lam)
-        total = total + product * (mode.one if p % 2 else -mode.one)
-    return total
-
-
-def chain_sum_inverse_entry(matrix: Matrix, b: int, m: int, mode: Mode) -> Scalar:
-    """Entry (b, m) of the inverse of an upper-triangular matrix, as
-    (1 / M[m][m]) times a sum over strictly increasing chains
-    b = l0 < ... < lp = m of (-1)^(p+1) prod_j M[l_j][l_{j+1}] / M[l_j][l_j].
-    """
-    _require_small(len(matrix))
-    if b == m:
-        return mode.one / matrix[m][m]
-    if b > m:
-        return mode.zero
-    total = mode.zero
-    for chain in _chains(b, m):
-        p = len(chain) - 2
-        product = mode.one
-        for l_cur, l_next in zip(chain, chain[1:]):
-            product = product * matrix[l_cur][l_next] / (matrix[l_cur][l_cur])
-        total = total + product * (mode.one if p % 2 else -mode.one)
-    return total / matrix[m][m]

@@ -10,6 +10,9 @@ fold of ExpSum additions, the oracle for the bucketed pullback in
 solver._assemble. fraction_verify() is verify() with the oracle iterated
 in Fraction (or complex) polynomials and every cell evaluated by
 ExpSum.evaluate, the oracle for the integer evaluation of exact verify.
+chain_sum_eigenvector_entry() and chain_sum_inverse_entry() give single
+entries of P and P^-1 as sums over strictly increasing index chains, the
+paper's combinatorial formulas; they are exponential in matrix size.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -201,3 +204,73 @@ def fraction_verify(solution: ClosedFormSolution, system: PolySystem,
         order=order,
         steps=steps,
     )
+
+
+# -- combinatorial single-entry formulas (cross-checks, exponential cost) ------
+
+_CHAIN_SIZE_CAP = 10
+
+
+def _require_small(n: int) -> None:
+    if n > _CHAIN_SIZE_CAP:
+        raise ValueError(
+            f"chain-sum formulas are exponential; capped at {_CHAIN_SIZE_CAP}x"
+            f"{_CHAIN_SIZE_CAP} (got {n})")
+
+
+def _chains(start: int, end: int) -> List[Tuple[int, ...]]:
+    """All strictly increasing index chains from start to end inclusive."""
+    if start == end:
+        return [(start,)]
+    out = []
+    for nxt in range(start + 1, end + 1):
+        for tail in _chains(nxt, end):
+            out.append((start,) + tail)
+    return out
+
+
+def chain_sum_eigenvector_entry(matrix: Matrix, b: int, a: int,
+                                mode: Mode) -> Scalar:
+    """Entry b of the eigenvector for diagonal position a, as a sum over
+    strictly increasing chains b = l0 < ... < lp = a of
+
+        (-1)^(p+1) * prod_j M[l_j][l_{j+1}] / (M[l_j][l_j] - M[a][a]).
+
+    Matches back substitution entry for entry; used only to cross-check it.
+    """
+    _require_small(len(matrix))
+    if b == a:
+        return mode.one
+    if b > a:
+        return mode.zero
+    lam = matrix[a][a]
+    total = mode.zero
+    for chain in _chains(b, a):
+        p = len(chain) - 2
+        product = mode.one
+        for l_cur, l_next in zip(chain, chain[1:]):
+            product = product * matrix[l_cur][l_next]
+            if l_cur != a:
+                product = product / (matrix[l_cur][l_cur] - lam)
+        total = total + product * (mode.one if p % 2 else -mode.one)
+    return total
+
+
+def chain_sum_inverse_entry(matrix: Matrix, b: int, m: int, mode: Mode) -> Scalar:
+    """Entry (b, m) of the inverse of an upper-triangular matrix, as
+    (1 / M[m][m]) times a sum over strictly increasing chains
+    b = l0 < ... < lp = m of (-1)^(p+1) prod_j M[l_j][l_{j+1}] / M[l_j][l_j].
+    """
+    _require_small(len(matrix))
+    if b == m:
+        return mode.one / matrix[m][m]
+    if b > m:
+        return mode.zero
+    total = mode.zero
+    for chain in _chains(b, m):
+        p = len(chain) - 2
+        product = mode.one
+        for l_cur, l_next in zip(chain, chain[1:]):
+            product = product * matrix[l_cur][l_next] / (matrix[l_cur][l_cur])
+        total = total + product * (mode.one if p % 2 else -mode.one)
+    return total / matrix[m][m]

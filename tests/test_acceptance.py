@@ -15,18 +15,16 @@ from carleman.embedding import MonomialBasis, build_transition
 from carleman.errors import ParseError, RepeatedEigenvalueError
 from carleman.parser import parse_system, pretty_print
 from carleman.scalars import Mode
-from carleman.solver import (SolveOptions, eval_closed_form,
-                             history_to_reduced_state,
+from carleman.solver import (SolveOptions, history_to_reduced_state,
                              oracle_iterate_symbolic, resolve_transform,
                              solve, verify)
 from carleman.systems import TransformParams, apply_affine, reduce_depth
-from carleman.triangular import (chain_sum_eigenvector_entry,
-                                 chain_sum_inverse_entry, decompose,
-                                 invert_unit_triangular)
+from carleman.triangular import decompose, invert_unit_triangular
 
 from conftest import (random_dsl_system, random_triangular_system,
                       random_upper_triangular)
-from oracles import dense, power_from_decomposition, sparse
+from oracles import (chain_sum_eigenvector_entry, chain_sum_inverse_entry,
+                     dense, power_from_decomposition, sparse)
 
 F = Fraction
 
@@ -229,7 +227,7 @@ def test_acceptance_5_depth_reduction():
     phi, psi = (1 + sqrt5) / 2, (1 - sqrt5) / 2
     for i in range(21):
         expected = (phi ** (i + 1) - psi ** (i + 1)) / sqrt5
-        got = 1.0 if i == 0 else eval_closed_form(fib, i - 1, state)[0]
+        got = 1.0 if i == 0 else fib.evaluate(i - 1, state)[0]
         assert abs(got - expected) < 1e-9, i
     elapsed = time.perf_counter() - start
     report(5, f"depth-2 oracle exact for i=0..5 and Fibonacci within 1e-9 "

@@ -54,6 +54,15 @@ def test_zero_coefficients_never_stored():
     assert p.terms == {}
     q = x_poly({1: 1, 2: 1}).mul_truncated(x_poly({0: 0}))
     assert q.is_zero()
+    # products, sums and compositions that cancel or underflow to zero
+    tiny = Poly(1, {(1,): 1e-200 + 0j})
+    assert tiny.mul_truncated(tiny).terms == {}
+    r = x_poly({1: 1, 2: 1}).mul_truncated(x_poly({0: 1, 1: -1}))
+    assert r.terms == {(1,): 1, (3,): -1}
+    s = x_poly({1: 1, 2: 1}).compose([x_poly({1: 1})]) + x_poly({1: -1, 2: -1})
+    assert s.terms == {}
+    t = x_poly({2: 1, 1: 2}).compose([x_poly({0: -2})])
+    assert t.terms == {}
 
 
 def test_add_requires_same_arity():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from carleman import CarlemanError
 from carleman.scalars import (
-    Mode, format_scalar, mode_of, nearly_equal, parse_scalar_text,
-    scalar_abs, scalar_from_json, scalar_to_json, sort_key,
+    Mode, format_scalar, nearly_equal, parse_scalar_text, scalar_from_json,
+    scalar_to_json, sort_key,
 )
 
 fractions = st.fractions(
@@ -25,9 +25,7 @@ def test_mode_constants():
     assert Mode.FLOAT.one == complex(1)
 
 
-def test_mode_of_and_matches():
-    assert mode_of(Fraction(2, 3)) is Mode.EXACT
-    assert mode_of(complex(1, 1)) is Mode.FLOAT
+def test_mode_matches():
     assert Mode.EXACT.matches(Fraction(1))
     assert not Mode.EXACT.matches(complex(1))
     assert Mode.FLOAT.matches(complex(0.5))
@@ -36,11 +34,6 @@ def test_mode_of_and_matches():
 def test_from_fraction():
     assert Mode.EXACT.from_fraction(Fraction(1, 2)) == Fraction(1, 2)
     assert Mode.FLOAT.from_fraction(Fraction(1, 2)) == complex(0.5)
-
-
-def test_scalar_abs():
-    assert scalar_abs(Fraction(-3, 2)) == Fraction(3, 2)
-    assert scalar_abs(complex(3, 4)) == 5.0
 
 
 def test_sort_key_orders_fractions_by_value():

@@ -10,7 +10,7 @@ import pytest
 from carleman import (
     ArityError, CarlemanError, ClosedFormSolution, ExpSum,
     RepeatedEigenvalueError, ShiftNotFoundError, SolveOptions,
-    eval_closed_form, eval_direct, history_to_reduced_state,
+    eval_direct, history_to_reduced_state,
     oracle_iterate_symbolic, parse_system, reduce_depth,
     reduced_variable_names, resolve_shift, solve, verify,
 )
@@ -295,7 +295,7 @@ def test_closed_form_is_identity_at_step_zero():
     system, names = load(CUBIC)
     solution = solve(system, SolveOptions(order=4), names=names)
     for z0 in (F(0), F(1, 3), F(-2), F(7, 5)):
-        assert eval_closed_form(solution, 0, [z0]) == [z0]
+        assert solution.evaluate(0, [z0]) == [z0]
 
 
 def test_one_step_matches_the_map():
@@ -304,7 +304,7 @@ def test_one_step_matches_the_map():
                      names=names)
     for z0 in ([F(1, 5), F(-1, 7)], [F(0), F(1, 2)]):
         stepped = [p.evaluate(z0) for p in system.polys]
-        assert eval_closed_form(solution, 1, z0) == stepped
+        assert solution.evaluate(1, z0) == stepped
 
 
 def test_linear_systems_are_exact_at_any_step():
@@ -312,7 +312,7 @@ def test_linear_systems_are_exact_at_any_step():
     system, names = load(text)
     solution = solve(system, SolveOptions(order=1), names=names)
     z0 = [F(1, 3), F(-2)]
-    assert eval_closed_form(solution, 9, z0) == eval_direct(system, 9, z0)
+    assert solution.evaluate(9, z0) == eval_direct(system, 9, z0)
 
 
 # -- oracle ------------------------------------------------------------------------
@@ -428,7 +428,7 @@ def test_fibonacci_against_binet():
     state = history_to_reduced_state(system, [0.0, 1.0])
     for i in range(1, 21):
         binet = (phi ** i - psi ** i) / math.sqrt(5)
-        value = eval_closed_form(solution, i - 1, state)[0]
+        value = solution.evaluate(i - 1, state)[0]
         assert abs(value - binet) < 1e-9
 
 
@@ -476,7 +476,7 @@ def test_logistic_truncation_defect_bound():
     solution = solve(system, SolveOptions(order=6, mode=Mode.FLOAT),
                      names=names)
     z0 = 1.0 / 1024.0
-    closed = eval_closed_form(solution, 3, [z0])[0]
+    closed = solution.evaluate(3, [z0])[0]
     direct = eval_direct(system, 3, [z0])[0]
     assert abs(closed - direct) <= 2.0 ** -60
 
@@ -484,7 +484,7 @@ def test_logistic_truncation_defect_bound():
 def test_logistic_truncation_defect_exact_value():
     system, names = logistic(F(2))
     solution = solve(system, SolveOptions(order=6), names=names)
-    closed = eval_closed_form(solution, 3, [F(1, 1024)])[0]
+    closed = solution.evaluate(3, [F(1, 1024)])[0]
     direct = eval_direct(system, 3, [F(1, 1024)])[0]
     # the discarded tail is O(z0^7): 2^-61 - 2^-73 on the nose
     assert direct - closed == F(4095, 2 ** 73)

@@ -6,6 +6,11 @@ order of the dense loops, starting from zero. So P and P^-1 must equal
 the dense oracle cell for cell in both modes, and in float mode every
 nonzero cell must carry the same bits, signed zeros of its real or
 imaginary part included.
+
+Exact mode takes another route: P^-1's rows are solved from T as left
+eigenvectors and only the requested rows of P from P^-1. Exact values
+do not depend on the route, so those rows must still equal the dense
+oracle with ==, and the rows of P nobody asked for must be empty.
 """
 
 import random
@@ -13,7 +18,9 @@ from fractions import Fraction
 
 import pytest
 
-from carleman import parse_system
+import carleman.solver
+import carleman.triangular
+from carleman import SolveOptions, parse_system, solve
 from carleman.embedding import MonomialBasis, build_transition
 from carleman.scalars import Mode
 from carleman.triangular import decompose, invert_unit_triangular
@@ -128,3 +135,79 @@ def test_inverse_of_general_diagonal_matches_dense_oracle(mode):
         matrix = random_sparse_upper(rng, rng.randint(1, 20), 0.2, mode)
         assert_same_cells(invert_unit_triangular(sparse(matrix), mode),
                           dense_invert_triangular(matrix, mode), mode)
+
+
+def check_requested_rows(matrix, rows, mode):
+    """decompose(rows=...) against the dense oracle: modal_inv complete,
+    the requested rows of modal equal, every other row empty."""
+    spec = decompose(sparse(matrix), mode, rows=rows)
+    modal = dense_modal(matrix, mode)
+    assert_same_cells(spec.modal_inv, dense_invert_triangular(modal, mode),
+                      mode)
+    assert len(spec.modal) == len(matrix)
+    kept = [row if r in rows else [mode.zero] * len(row)
+            for r, row in enumerate(modal)]
+    assert_same_cells(spec.modal, kept, mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+@pytest.mark.parametrize("order", range(3, 9))
+def test_logistic_requested_rows_match_dense_oracle(mode, order):
+    check_requested_rows(transition(LOGISTIC, order, mode), [1], mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+@pytest.mark.parametrize("order", range(1, 7))
+def test_tri3_requested_rows_match_dense_oracle(mode, order):
+    check_requested_rows(transition(TRI3, order, mode), [1, 2, 3], mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+def test_coupled_tilde_requested_rows_match_dense_oracle(mode):
+    matrix = [[mode.from_fraction(x) for x in row] for row in COUPLED_TILDE]
+    check_requested_rows(matrix, [1, 2], mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+def test_random_requested_rows_match_dense_oracle(mode):
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.randint(1, 24)
+        matrix = random_sparse_upper(rng, n, rng.choice((0.05, 0.15, 0.4)),
+                                     mode)
+        rows = sorted(rng.sample(range(n), rng.randint(0, min(n, 4))))
+        check_requested_rows(matrix, rows, mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+def test_requested_rows_must_exist(mode):
+    matrix = sparse([[mode.from_fraction(x) for x in row]
+                     for row in COUPLED_TILDE])
+    for rows in ([6], [-1], [0, 9]):
+        with pytest.raises(ValueError):
+            decompose(matrix, mode, rows=rows)
+
+
+def test_exact_decompose_never_inverts(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact decompose inverted P")
+
+    monkeypatch.setattr(carleman.triangular, "invert_unit_triangular", refuse)
+    check_against_oracle(transition(TRI3, 4, Mode.EXACT), Mode.EXACT)
+    check_requested_rows(transition(TRI3, 4, Mode.EXACT), [1, 2, 3],
+                         Mode.EXACT)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+def test_solve_requests_only_the_variable_rows(monkeypatch, mode):
+    requested = []
+
+    def recording(matrix, mode, tol=1e-9, rows=None):
+        requested.append(rows)
+        return decompose(matrix, mode, tol=tol, rows=rows)
+
+    monkeypatch.setattr(carleman.solver, "decompose", recording)
+    system, names = parse_system(TRI3, mode)
+    solve(system, SolveOptions(order=3, mode=mode), names=names)
+    # rows 1..3 of the graded basis are x, y and z
+    assert requested == [[1, 2, 3]]
