@@ -172,10 +172,12 @@ def _vector_json(values) -> list:
     return [scalar_to_json(x) for x in values]
 
 
+def _vector_inline(values) -> str:
+    return "[" + ", ".join(format_scalar(x) for x in values) + "]"
+
+
 def _matrix_inline(rows) -> str:
-    return "[" + ", ".join(
-        "[" + ", ".join(format_scalar(x) for x in row) + "]"
-        for row in rows) + "]"
+    return "[" + ", ".join(_vector_inline(row) for row in rows) + "]"
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -191,8 +193,7 @@ def _cmd_solve(args) -> int:
         lines = [
             f"order: {solution.order}",
             f"mode: {solution.mode.value}",
-            "shift: [" + ", ".join(format_scalar(x)
-                                   for x in solution.transform.offset) + "]",
+            "shift: " + _vector_inline(solution.transform.offset),
             "matrix: " + _matrix_inline(solution.transform.matrix),
             solution.render_text().rstrip("\n"),
         ]
@@ -323,7 +324,7 @@ def _candidates_text(trail, auto_error: Optional[str]) -> list:
     if not trail:
         lines.append(f"  (none: {auto_error})" if auto_error else "  (none)")
     for cand in trail:
-        offset_text = "[" + ", ".join(format_scalar(x) for x in cand.offset) + "]"
+        offset_text = _vector_inline(cand.offset)
         if cand.report is None:
             lines.append(f"  shift {offset_text}: unavailable ({cand.note})")
             continue
@@ -384,9 +385,7 @@ def _cmd_transform(args) -> int:
         return EXIT_OK
 
     lines = _candidates_text(trail, auto_error)
-    chosen_text = "[" + ", ".join(format_scalar(x)
-                                  for x in combined.offset) + "]"
-    lines.append(f"chosen shift: {chosen_text}")
+    lines.append(f"chosen shift: {_vector_inline(combined.offset)}")
     lines.append("matrix: " + _matrix_inline(combined.matrix))
     lines.append("transformed system:")
     lines.append(pretty_print(transformed, reduced_names).rstrip("\n"))

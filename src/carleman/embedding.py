@@ -22,16 +22,13 @@ its top-left blocks do not depend on the truncation order.
 
 from __future__ import annotations
 
-import itertools
 import math
-from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import ArityError, SizeLimitError
-from .linalg import identity, mat_mul
-from .poly import Monomial, Poly, grlex_key
+from .linalg import is_upper_triangular
+from .poly import Monomial, Poly
 from .scalars import Mode, Scalar, scalar_to_json
-from .triangular import sparse_is_upper_triangular
 
 BASIS_SIZE_LIMIT = 200_000
 
@@ -83,76 +80,6 @@ class MonomialBasis:
             return self._index[tuple(mono)]
         except KeyError:
             raise ArityError(f"monomial {mono} is outside this basis") from None
-
-
-def kron_index_monomial(k: int, index: int) -> Monomial:
-    """Monomial represented by one coordinate of the stacked Kronecker
-    power vector (1, z, z tensor z, ...).
-
-    Different Kronecker coordinates can name the same monomial; this map
-    is how the redundant tensor indexing collapses onto exponent tuples.
-    """
-    if k < 1 or index < 0:
-        raise ArityError(f"bad kronecker coordinate ({k=}, {index=})")
-    if index == 0:
-        return (0,) * k
-    if k == 1:
-        return (index,)
-    # block of degree s starts at (k^s - 1) / (k - 1)
-    degree = 0
-    while (k ** (degree + 1) - 1) // (k - 1) <= index:
-        degree += 1
-    exponents = [0] * k
-    for s in range(1, degree + 1):
-        block_start = (k ** s - 1) // (k - 1)
-        digit = ((index - block_start) // k ** (s - 1)) % k
-        exponents[digit] += 1
-    return tuple(exponents)
-
-
-def multinomial_entry(coeffs: Sequence[Scalar], a: int, b: int) -> Scalar:
-    """Transition entry (a, b) for a univariate map with coefficient
-    vector c0..cm, computed by the closed multinomial sum: over all
-    splittings k_0..k_m >= 0 with sum k_l = a and sum l*k_l = b, add
-    a! / prod(k_l!) * prod(c_l ** k_l).
-    """
-    m = len(coeffs) - 1
-    if m < 0:
-        raise ArityError("empty coefficient vector")
-    if a < 0 or b < 0:
-        raise ArityError("row and column must be non-negative")
-    zero = coeffs[0] * 0
-    if a == 0:
-        return zero + 1 if b == 0 else zero
-
-    total = zero
-    fact_a = math.factorial(a)
-
-    # enumerate k_m, k_{m-1}, ..., k_1 with pruning; k_0 soaks up the rest
-    def recurse(level: int, remaining: int, weight: int,
-                denom: int, product: Scalar):
-        nonlocal total
-        if level == 0:
-            # k_0 = remaining contributes no weight, so all of b must be used
-            if weight == 0:
-                c0_power = coeffs[0] * 0 + 1
-                for _ in range(remaining):
-                    c0_power = c0_power * coeffs[0]
-                total = total + product * c0_power * Fraction(
-                    fact_a, denom * math.factorial(remaining))
-            return
-        max_k = min(remaining, weight // level)
-        term_pow = coeffs[level] * 0 + 1
-        for k_l in range(0, max_k + 1):
-            if k_l == 0 or coeffs[level] != 0:
-                recurse(level - 1, remaining - k_l, weight - k_l * level,
-                        denom * math.factorial(k_l), product * term_pow)
-            if coeffs[level] == 0:
-                break
-            term_pow = term_pow * coeffs[level]
-
-    recurse(m, a, b, 1, zero + 1)
-    return total
 
 
 def build_transition(system, basis: MonomialBasis) -> "CarlemanMatrix":
@@ -209,7 +136,7 @@ class CarlemanMatrix:
     @property
     def is_triangular(self) -> bool:
         tol = 0.0 if self.mode is Mode.EXACT else 1e-10
-        return sparse_is_upper_triangular(self.rows, tol)
+        return is_upper_triangular(self.rows, tol)
 
     def diagonal(self) -> List[Scalar]:
         zero = self.mode.zero
@@ -225,21 +152,6 @@ class CarlemanMatrix:
                 dense[c] = value
             out.append(dense)
         return out
-
-    def power(self, exponent: int) -> List[List[Scalar]]:
-        """Plain dense matrix power by repeated squaring."""
-        if exponent < 0:
-            raise ArityError(f"negative matrix power {exponent}")
-        result = identity(len(self.rows), self.mode)
-        base = self.dense_rows()
-        e = exponent
-        while e:
-            if e & 1:
-                result = mat_mul(result, base)
-            e >>= 1
-            if e:
-                base = mat_mul(base, base)
-        return result
 
     def to_json(self) -> dict:
         return {

@@ -2,9 +2,11 @@
 
 Matrices are plain lists of row lists. Sizes here are tiny (the state
 dimension k), so everything is the obvious cubic algorithm with no
-attempt at cleverness. The pipeline's basis-sized matrices (the
-transition matrix T and its eigenvector matrices P and P^-1) do not go
-through here: they are kept as sparse rows, see triangular.py.
+attempt at cleverness. One Gauss-Jordan row reduction backs both
+mat_inverse (run on [A | I]) and nullspace. The pipeline's basis-sized
+matrices (the transition matrix T and its eigenvector matrices P and
+P^-1) do not go through here: they are kept as sparse rows, see
+triangular.py; is_upper_triangular takes their sparse rows too.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ Matrix = List[List[Scalar]]
 def identity(n: int, mode: Mode) -> Matrix:
     one, zero = mode.one, mode.zero
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def copy_matrix(a: Sequence[Sequence[Scalar]]) -> Matrix:
-    return [list(row) for row in a]
 
 
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Matrix:
@@ -53,93 +51,68 @@ def mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> List[Scalar]:
     return [sum((row[j] * v[j] for j in range(len(v))), start=row[0] * 0) for row in a]
 
 
+def _row_reduce(rows: Matrix, mode: Mode, pivot_columns: int) -> List[int]:
+    """Gauss-Jordan elimination in place over the first pivot_columns
+    columns, returning the pivot columns in order. Exact mode pivots on
+    the first nonzero entry, float mode on the largest magnitude; a column
+    without a pivot is skipped."""
+    pivots: List[int] = []
+    for col in range(pivot_columns):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = None
+        if mode is Mode.EXACT:
+            pivot_row = next((i for i in range(r, len(rows))
+                              if rows[i][col] != 0), None)
+        else:
+            best = 0.0
+            for i in range(r, len(rows)):
+                mag = abs(rows[i][col])
+                if mag > best:
+                    best, pivot_row = mag, i
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][col]
+        rows[r] = [x / pivot for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
 def mat_inverse(a: Sequence[Sequence[Scalar]], mode: Mode) -> Matrix:
-    """Gauss-Jordan inverse. Exact mode pivots on any nonzero entry,
-    float mode on the largest magnitude."""
+    """Inverse by row reducing [A | I]."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ArityError("inverse needs a square matrix")
-    work = copy_matrix(a)
-    inv = identity(n, mode)
-    for col in range(n):
-        pivot_row = None
-        if mode is Mode.EXACT:
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot_row = r
-                    break
-        else:
-            best = 0.0
-            for r in range(col, n):
-                mag = abs(work[r][col])
-                if mag > best:
-                    best, pivot_row = mag, r
-            if best == 0.0:
-                pivot_row = None
-        if pivot_row is None:
-            raise SingularMatrixError(f"matrix is singular at column {col}")
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        inv[col] = [x / pivot for x in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
-def determinant(a: Sequence[Sequence[Scalar]], mode: Mode) -> Scalar:
-    n = len(a)
-    work = copy_matrix(a)
-    det = mode.one
-    for col in range(n):
-        pivot_row = None
-        if mode is Mode.EXACT:
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot_row = r
-                    break
-        else:
-            best = 0.0
-            for r in range(col, n):
-                if abs(work[r][col]) > best:
-                    best, pivot_row = abs(work[r][col]), r
-            if best == 0.0:
-                pivot_row = None
-        if pivot_row is None:
-            return mode.zero
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] / pivot
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return det
+    work = [list(row) + eye for row, eye in zip(a, identity(n, mode))]
+    pivots = _row_reduce(work, mode, n)
+    if len(pivots) < n:
+        col = min(set(range(n)) - set(pivots))
+        raise SingularMatrixError(f"matrix is singular at column {col}")
+    return [row[n:] for row in work]
 
 
 def max_abs(a: Sequence[Sequence[Scalar]]) -> float:
     return max((abs(x) for row in a for x in row), default=0.0)
 
 
-def is_upper_triangular(a: Sequence[Sequence[Scalar]], tol: float = 0.0) -> bool:
-    """Zero below the diagonal; tol > 0 allows float residue relative to
-    the largest entry."""
-    bound = tol * max(1.0, float(max_abs(a))) if tol else 0
-    for i, row in enumerate(a):
-        for j in range(min(i, len(row))):
-            if tol:
-                if abs(row[j]) > bound:
-                    return False
-            elif row[j] != 0:
-                return False
-    return True
+def is_upper_triangular(rows: Sequence, tol: float = 0.0) -> bool:
+    """Zero below the diagonal. Each row is a dense list or a sparse
+    {column: value} dict; tol > 0 allows float residue up to
+    tol * max(1, max |entry|)."""
+    entries = [(i, j, x) for i, row in enumerate(rows)
+               for j, x in (row.items() if isinstance(row, dict) else enumerate(row))]
+    below = [x for i, j, x in entries if j < i]
+    if not tol:
+        return all(x == 0 for x in below)
+    largest = max((abs(x) for _, _, x in entries), default=0.0)
+    bound = tol * max(1.0, float(largest))
+    return all(abs(x) <= bound for x in below)
 
 
 def char_poly(a: Sequence[Sequence[Scalar]], mode: Mode) -> Poly:
@@ -168,32 +141,11 @@ def nullspace(a: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
     Deterministic: free variables are assigned unit values in column
     order, so repeated calls give identical bases.
     """
-    rows = copy_matrix(a)
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for rr in range(r, n_rows):
-            if rows[rr][col] != 0:
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        rows[r] = [x / pivot for x in rows[r]]
-        for rr in range(n_rows):
-            if rr != r and rows[rr][col] != 0:
-                factor = rows[rr][col]
-                rows[rr] = [x - factor * y for x, y in zip(rows[rr], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    rows = [list(row) for row in a]
+    n_cols = len(rows[0]) if rows else 0
+    pivots = _row_reduce(rows, Mode.EXACT, n_cols)
     basis = []
-    for free in free_cols:
+    for free in (c for c in range(n_cols) if c not in pivots):
         vec: List[Scalar] = [Fraction(0)] * n_cols
         vec[free] = Fraction(1)
         for row_idx, pivot_col in enumerate(pivots):

@@ -23,14 +23,13 @@ variable counts and raise ArityError otherwise.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ArityError, ZeroPolynomialError
-from .scalars import Mode, Scalar
+from .scalars import Scalar
 
 Monomial = Tuple[int, ...]
 
@@ -109,9 +108,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self.terms.get(tuple(mono), 0)
 
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * self.var_count, 0)
@@ -194,48 +190,12 @@ class Poly:
                 base = base.mul_truncated(base, max_degree)
         return result
 
-    def substitute_affine(self, matrix: Sequence[Sequence[Scalar]],
-                          offset: Sequence[Scalar],
-                          max_degree: Optional[int] = None) -> "Poly":
-        """Replace the variable vector z by matrix*z + offset."""
-        k = self.var_count
-        if len(matrix) != k or any(len(row) != k for row in matrix) or len(offset) != k:
-            raise ArityError("affine substitution shape does not match variable count")
-        images: List[Poly] = []
-        for l in range(k):
-            row_terms: Dict[Monomial, Scalar] = {}
-            for j in range(k):
-                if matrix[l][j] != 0:
-                    mono = tuple(1 if t == j else 0 for t in range(k))
-                    row_terms[mono] = matrix[l][j]
-            if offset[l] != 0:
-                row_terms[(0,) * k] = offset[l]
-            images.append(Poly(k, row_terms))
-        pow_cache: Dict[Tuple[int, int], Poly] = {}
-
-        def image_power(l: int, e: int) -> Poly:
-            key = (l, e)
-            if key not in pow_cache:
-                pow_cache[key] = images[l].pow_truncated(e, max_degree)
-            return pow_cache[key]
-
-        out = Poly.zero(k)
-        for mono, coeff in self.terms.items():
-            piece = Poly.constant(k, coeff)
-            for l, e in enumerate(mono):
-                if e:
-                    piece = piece.mul_truncated(image_power(l, e), max_degree)
-            out = out + piece
-        return out
-
     def compose(self, arguments: Sequence["Poly"],
                 max_degree: Optional[int] = None) -> "Poly":
         """Substitute a polynomial for each variable."""
         if len(arguments) != self.var_count:
             raise ArityError(
                 f"expected {self.var_count} argument polynomials, got {len(arguments)}")
-        if not arguments:
-            raise ArityError("empty argument list")
         inner_vars = arguments[0].var_count
         for arg in arguments:
             if arg.var_count != inner_vars:
@@ -257,10 +217,6 @@ class Poly:
                     piece = piece.mul_truncated(arg_power(l, e), max_degree)
             out = out + piece
         return out
-
-    def truncated(self, max_degree: int) -> "Poly":
-        return Poly(self.var_count,
-                    {m: c for m, c in self.terms.items() if sum(m) <= max_degree})
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         """Value at a point, with per-variable power caching."""
@@ -294,6 +250,21 @@ class Poly:
                 lowered = tuple(x - 1 if i == var else x for i, x in enumerate(mono))
                 terms[lowered] = terms.get(lowered, 0) + coeff * e
         return Poly(self.var_count, terms)
+
+
+def affine_images(matrix: Sequence[Sequence[Scalar]],
+                  offset: Sequence[Scalar]) -> List[Poly]:
+    """The degree-1 polynomials matrix*z + offset, one per row: composing
+    with them substitutes the affine map for the variable vector z."""
+    k = len(offset)
+    images = []
+    for row, shift in zip(matrix, offset):
+        terms = {tuple(int(t == j) for t in range(k)): a
+                 for j, a in enumerate(row) if a != 0}
+        if shift != 0:
+            terms[(0,) * k] = shift
+        images.append(Poly(k, terms))
+    return images
 
 
 # -- univariate root finding -------------------------------------------
@@ -356,13 +327,18 @@ def rational_roots(p: Poly) -> List[Fraction]:
     return sorted(roots)
 
 
-def complex_roots(p: Poly, seed: int = 0, max_iterations: int = 500,
-                  residual_tol: float = 1e-12) -> List[complex]:
+# Durand-Kerner stops after this many sweeps, or once the worst residual
+# of the monic polynomial is at most the tolerance
+_DK_MAX_ITERATIONS = 500
+_DK_RESIDUAL_TOL = 1e-12
+
+
+def complex_roots(p: Poly, seed: int = 0) -> List[complex]:
     """All complex roots via the Durand-Kerner simultaneous iteration.
 
     Starts from a randomly perturbed circle (seeded, so deterministic),
     iterates until the worst residual of the monic polynomial drops below
-    residual_tol, then polishes each root with a few Newton steps.
+    _DK_RESIDUAL_TOL, then polishes each root with a few Newton steps.
     """
     coeffs = [complex(c) for c in univariate_coeffs(p)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -394,7 +370,7 @@ def complex_roots(p: Poly, seed: int = 0, max_iterations: int = 500,
         * cmath.exp(2j * cmath.pi * (j + 0.3 + 0.1 * rng.random()) / n)
         for j in range(n)
     ]
-    for _ in range(max_iterations):
+    for _ in range(_DK_MAX_ITERATIONS):
         worst = 0.0
         for j in range(n):
             denom = 1 + 0j
@@ -407,7 +383,7 @@ def complex_roots(p: Poly, seed: int = 0, max_iterations: int = 500,
             step = eval_monic(guesses[j]) / denom
             guesses[j] -= step
             worst = max(worst, abs(eval_monic(guesses[j])))
-        if worst <= residual_tol:
+        if worst <= _DK_RESIDUAL_TOL:
             break
     for j in range(n):
         for _ in range(3):
@@ -417,10 +393,3 @@ def complex_roots(p: Poly, seed: int = 0, max_iterations: int = 500,
             guesses[j] -= eval_monic(guesses[j]) / d
     guesses.sort(key=lambda z: (abs(z), cmath.phase(z), z.real, z.imag))
     return guesses
-
-
-def roots_univariate(p: Poly, mode: Mode, seed: int = 0) -> List[Scalar]:
-    """Mode dispatch: exact rational search or numeric Durand-Kerner."""
-    if mode is Mode.EXACT:
-        return list(rational_roots(p))
-    return list(complex_roots(p, seed=seed))

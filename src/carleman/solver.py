@@ -42,7 +42,7 @@ from .errors import (ArityError, CarlemanError, NotShiftedError,
                      RepeatedEigenvalueError, ShiftNotFoundError,
                      SizeLimitError, TriangularizationError)
 from .linalg import is_upper_triangular, mat_vec, max_abs
-from .poly import Monomial, Poly, grlex_key
+from .poly import Monomial, Poly, affine_images, grlex_key
 from .scalars import (Mode, Scalar, format_scalar, nearly_equal,
                       scalar_from_json, scalar_to_json, sort_key)
 from .systems import (AdmissibilityReport, PolySystem, TransformParams,
@@ -53,6 +53,8 @@ from .triangular import decompose
 
 _FLOAT_CONSTANT_TOL = 1e-9
 _FLOAT_COEFF_DROP = 1e-13
+# float exp-sum bases this close (relative) merge into one term
+_FLOAT_MERGE_TOL = 1e-9
 
 
 # -- exponential sums ----------------------------------------------------------
@@ -76,7 +78,6 @@ class ExpSum:
     @classmethod
     def from_terms(cls, mode: Mode,
                    pairs: Sequence[Tuple[Scalar, Scalar]],
-                   merge_tol: float = 1e-9,
                    rank: Optional[Dict[Tuple[int, int], int]] = None
                    ) -> "ExpSum":
         """Canonical sum of (base, coeff) pairs. rank, exact mode only, is
@@ -87,7 +88,7 @@ class ExpSum:
             return running.result()
         merged: List[List[Scalar]] = []
         for base, coeff in sorted(pairs, key=lambda bc: sort_key(bc[0])):
-            if merged and nearly_equal(merged[-1][0], base, merge_tol):
+            if merged and nearly_equal(merged[-1][0], base, _FLOAT_MERGE_TOL):
                 merged[-1][1] = merged[-1][1] + coeff
             else:
                 merged.append([base, coeff])
@@ -224,11 +225,6 @@ def _split_sign(value: Scalar) -> Tuple[str, Scalar]:
     return "+", value
 
 
-def _wrap(text: str) -> str:
-    needs = text.startswith("-") or any(ch in text for ch in "+j/")
-    return f"({text})" if needs else text
-
-
 def _render_term(base: Scalar, coeff: Scalar, index_name: str) -> Tuple[str, str]:
     sign, mag = _split_sign(coeff)
     mag_text = format_scalar(mag)
@@ -260,9 +256,6 @@ class SolveOptions:
     shift: ShiftSpec = "auto"
     matrix: Optional[Sequence[Sequence[Scalar]]] = None
     seed: int = 0
-    collision_tol: float = 1e-9
-    unity_bound: int = 24
-    shift_seeds: Optional[Sequence[Sequence[Scalar]]] = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -332,20 +325,12 @@ class ClosedFormSolution:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        variables = []
-        for p in range(self.k):
-            terms = [{"monomial": list(mono),
-                      "expsum": self.tables[p][mono].to_json()}
-                     for mono in sorted(self.tables[p], key=grlex_key)]
-            variables.append({"name": self.names[p],
-                              "offset": scalar_to_json(self.offsets[p]),
-                              "terms": terms})
-        transformed = []
-        for p in range(self.k):
-            terms = [{"monomial": list(mono),
-                      "expsum": self.transformed[p][mono].to_json()}
-                     for mono in sorted(self.transformed[p], key=grlex_key)]
-            transformed.append({"name": self.names[p], "terms": terms})
+        variables = [{"name": name, "offset": scalar_to_json(offset),
+                      "terms": _table_to_json(table)}
+                     for name, offset, table in zip(self.names, self.offsets,
+                                                    self.tables)]
+        transformed = [{"name": name, "terms": _table_to_json(table)}
+                       for name, table in zip(self.names, self.transformed)]
         return {
             "variables": variables,
             "transform": {
@@ -366,19 +351,13 @@ class ClosedFormSolution:
             names = tuple(entry["name"] for entry in data["variables"])
             offsets = tuple(scalar_from_json(mode, entry["offset"])
                             for entry in data["variables"])
-            tables = tuple(
-                {tuple(term["monomial"]): ExpSum.from_json(mode, term["expsum"])
-                 for term in entry["terms"]}
-                for entry in data["variables"])
+            tables = _tables_from_json(mode, data["variables"])
             matrix = [[scalar_from_json(mode, x) for x in row]
                       for row in data["transform"]["A"]]
             offset = [scalar_from_json(mode, x) for x in data["transform"]["B"]]
             transform = TransformParams.create(matrix, offset, mode)
             if "transformed" in data:
-                transformed = tuple(
-                    {tuple(term["monomial"]): ExpSum.from_json(mode, term["expsum"])
-                     for term in entry["terms"]}
-                    for entry in data["transformed"])
+                transformed = _tables_from_json(mode, data["transformed"])
             elif transform.is_identity():
                 transformed = tables
             else:
@@ -390,6 +369,16 @@ class ClosedFormSolution:
         return cls(names=names, offsets=offsets, tables=tables,
                    transformed=transformed, transform=transform,
                    order=order, mode=mode)
+
+
+def _table_to_json(table: Dict[Monomial, ExpSum]) -> list:
+    return [{"monomial": list(mono), "expsum": table[mono].to_json()}
+            for mono in sorted(table, key=grlex_key)]
+
+
+def _tables_from_json(mode: Mode, entries) -> Tuple[Dict[Monomial, ExpSum], ...]:
+    return tuple({tuple(term["monomial"]): ExpSum.from_json(mode, term["expsum"])
+                  for term in entry["terms"]} for entry in entries)
 
 
 def _render_initial_monomial(mono: Monomial, names: Sequence[str]) -> str:
@@ -473,7 +462,7 @@ def resolve_shift(system: PolySystem, opts: SolveOptions
         return values, []
     if opts.shift == "none":
         return [mode.zero] * system.k, []
-    candidates = fixed_points(system, seeds=opts.shift_seeds, seed=opts.seed)
+    candidates = fixed_points(system, seed=opts.seed)
     candidates.sort(key=_candidate_sort_key)
     trail: List[ShiftCandidate] = []
     chosen: Optional[List[Scalar]] = None
@@ -481,9 +470,8 @@ def resolve_shift(system: PolySystem, opts: SolveOptions
         shifted = apply_affine(system, TransformParams.shift(cand, mode))
         shifted = _clean_float_constants(shifted, _FLOAT_CONSTANT_TOL)
         try:
-            report = check_shift_admissible(
-                shifted, max_power=opts.order, unity_bound=opts.unity_bound,
-                tol=opts.collision_tol, seed=opts.seed)
+            report = check_shift_admissible(shifted, max_power=opts.order,
+                                            seed=opts.seed)
         except (TriangularizationError, NotShiftedError) as exc:
             trail.append(ShiftCandidate(tuple(cand), None, str(exc), False))
             continue
@@ -492,8 +480,11 @@ def resolve_shift(system: PolySystem, opts: SolveOptions
         if take:
             chosen = cand
     if chosen is None:
+        # a candidate refused before its products were compared carries
+        # the reason in its note
         tried = ", ".join(
             "[" + ", ".join(format_scalar(x) for x in c.offset) + "]"
+            + (f": {c.note}" if c.note else "")
             for c in trail) or "none found"
         remedy = ("use --mode float" if mode is Mode.EXACT
                   else "a lower --order")
@@ -584,9 +575,8 @@ def solve(system: PolySystem, opts: Optional[SolveOptions] = None,
     w = reduced.k
     mode = reduced.mode
 
-    report = check_shift_admissible(
-        transformed, max_power=opts.order, unity_bound=opts.unity_bound,
-        tol=opts.collision_tol, seed=opts.seed)
+    report = check_shift_admissible(transformed, max_power=opts.order,
+                                    seed=opts.seed)
     if not report.passed:
         mono_a, mono_b, value = report.collisions[0]
         raise RepeatedEigenvalueError(
@@ -603,10 +593,9 @@ def solve(system: PolySystem, opts: Optional[SolveOptions] = None,
             "the transform")
     var_rows = [basis.index_of(tuple(1 if t == q else 0 for t in range(w)))
                 for q in range(w)]
-    spectral = decompose(transition.rows, mode, tol=opts.collision_tol,
-                         rows=var_rows)
+    spectral = decompose(transition.rows, mode, rows=var_rows)
     return _assemble(transformed, basis, spectral, var_rows, combined,
-                     var_names, opts)
+                     var_names)
 
 
 def reduced_variable_names(system: PolySystem,
@@ -629,7 +618,7 @@ def reduced_variable_names(system: PolySystem,
 
 def _assemble(transformed: PolySystem, basis: MonomialBasis,
               spectral, var_rows: List[int], combined: TransformParams,
-              names: Tuple[str, ...], opts: SolveOptions) -> ClosedFormSolution:
+              names: Tuple[str, ...]) -> ClosedFormSolution:
     """var_rows[q] is the basis row of variable q, the only rows of
     spectral.modal read here."""
     mode = transformed.mode
@@ -674,11 +663,12 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
         # bucketed by base; float addition does, so float sums stay a left
         # fold of ExpSum.__add__ in loop order and keep every digit of it.
         running: List[Dict[Monomial, ExpSumAccumulator]] = [dict() for _ in range(w)]
+        images = affine_images(a_rows, neg_ab)
         for l in range(1, size):
             # basis monomial l of the shifted coordinates, written in the
             # original initial conditions
             expansion = Poly.from_monomial(w, basis.monomials[l], one)
-            expansion = expansion.substitute_affine(a_rows, neg_ab)
+            expansion = expansion.compose(images)
             carriers: List[Tuple[int, ExpSum]] = []
             for p in range(w):
                 pairs = []
@@ -1011,17 +1001,9 @@ def eval_direct(system: PolySystem, i: int,
     k, n = system.k, system.depth
     if i < 0:
         raise ValueError(f"step index must be non-negative, got {i}")
-    if len(history) != n * k:
-        raise ArityError(
-            f"history needs {n * k} values ({n} steps of {k} variables), "
-            f"got {len(history)}")
+    state = history_to_reduced_state(system, history)
     if i < n:
         return list(history[i * k:(i + 1) * k])
-    # flattened state at step n-1: newest block first
-    state: List[Scalar] = []
-    for j in range(n):
-        block = history[(n - 1 - j) * k:(n - j) * k]
-        state.extend(block)
     update = system.polys
     for _ in range(n - 1, i):
         fresh = [p.evaluate(state) for p in update]

@@ -23,17 +23,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .embedding import MonomialBasis
-from .errors import (ArityError, NotShiftedError, RepeatedEigenvalueError,
-                     ShiftNotFoundError, SingularMatrixError,
+from .errors import (ArityError, NotShiftedError, SingularMatrixError,
                      TriangularizationError)
-from .linalg import (char_poly, copy_matrix, identity, is_upper_triangular,
-                     mat_inverse, mat_mul, mat_vec, max_abs, nullspace)
-from .poly import Poly, complex_roots, rational_roots
+from .linalg import (char_poly, identity, is_upper_triangular, mat_inverse,
+                     mat_mul, mat_vec, max_abs, nullspace)
+from .poly import Poly, affine_images, complex_roots, rational_roots
 from .scalars import Mode, Scalar, format_scalar, nearly_equal, sort_key
 
 
@@ -63,10 +63,6 @@ class PolySystem:
                         f"equation {l} has a {type(coeff).__name__} coefficient "
                         f"in {self.mode.value} mode")
 
-    @property
-    def state_width(self) -> int:
-        return self.k * self.depth
-
     def require_depth_one(self, what: str) -> None:
         if self.depth != 1:
             raise ArityError(f"{what} needs a depth-one system; "
@@ -87,71 +83,6 @@ class PolySystem:
                     row[mono.index(1)] = coeff
             out.append(row)
         return out
-
-    def max_degree(self) -> int:
-        return max((p.degree() for p in self.polys), default=0)
-
-    def coeff_arrays(self) -> "CoeffArrays":
-        return CoeffArrays.from_system(self)
-
-
-@dataclass(frozen=True)
-class CoeffArrays:
-    """Degree-graded view of a depth-one system's coefficients.
-
-    constant[p] and linear[p][l] index the usual vector and matrix;
-    arrays of degree j >= 2 are keyed by the non-decreasing tuple of
-    variable indices (with repetition), each holding the length-k vector
-    of coefficients of that monomial across equations.
-    """
-
-    k: int
-    constant: Tuple[Scalar, ...]
-    linear: Tuple[Tuple[Scalar, ...], ...]
-    higher: Dict[int, Dict[Tuple[int, ...], Tuple[Scalar, ...]]]
-
-    @classmethod
-    def from_system(cls, system: PolySystem) -> "CoeffArrays":
-        system.require_depth_one("coefficient arrays")
-        k = system.k
-        zero = system.mode.zero
-        constant = tuple(system.constant_vector())
-        linear = tuple(tuple(row) for row in system.linear_matrix())
-        higher: Dict[int, Dict[Tuple[int, ...], List[Scalar]]] = {}
-        for p, poly in enumerate(system.polys):
-            for mono, coeff in poly.terms.items():
-                degree = sum(mono)
-                if degree < 2:
-                    continue
-                key = tuple(var for var, e in enumerate(mono) for _ in range(e))
-                by_degree = higher.setdefault(degree, {})
-                vec = by_degree.setdefault(key, [zero] * k)
-                vec[p] = coeff
-        frozen = {deg: {key: tuple(vec) for key, vec in entries.items()}
-                  for deg, entries in higher.items()}
-        return cls(k=k, constant=constant, linear=linear, higher=frozen)
-
-    def reconstruct(self, mode: Mode) -> PolySystem:
-        """Rebuild the system; from_system and reconstruct are inverse."""
-        k = self.k
-        polys = []
-        for p in range(k):
-            terms: Dict[Tuple[int, ...], Scalar] = {}
-            if self.constant[p] != 0:
-                terms[(0,) * k] = self.constant[p]
-            for l in range(k):
-                if self.linear[p][l] != 0:
-                    mono = tuple(1 if t == l else 0 for t in range(k))
-                    terms[mono] = self.linear[p][l]
-            for entries in self.higher.values():
-                for key, vec in entries.items():
-                    if vec[p] != 0:
-                        mono = [0] * k
-                        for var in key:
-                            mono[var] += 1
-                        terms[tuple(mono)] = vec[p]
-            polys.append(Poly(k, terms))
-        return PolySystem(k=k, depth=1, polys=tuple(polys), mode=mode)
 
 
 @dataclass(frozen=True)
@@ -177,8 +108,7 @@ class TransformParams:
 
     @classmethod
     def identity(cls, k: int, mode: Mode) -> "TransformParams":
-        eye = identity(k, mode)
-        return cls.create(eye, [mode.zero] * k, mode)
+        return cls.shift([mode.zero] * k, mode)
 
     @classmethod
     def shift(cls, offset: Sequence[Scalar], mode: Mode) -> "TransformParams":
@@ -192,20 +122,6 @@ class TransformParams:
         eye = identity(self.k, self.mode)
         return (all(x == 0 for x in self.offset)
                 and [list(r) for r in self.matrix] == eye)
-
-    def inverse(self) -> "TransformParams":
-        """Params of the inverse coordinate change (primed back to original)."""
-        neg_ab = [-x for x in mat_vec(self.matrix, list(self.offset))]
-        return TransformParams.create(
-            [list(r) for r in self.matrix_inv], neg_ab, self.mode)
-
-    def apply_point(self, point: Sequence[Scalar]) -> List[Scalar]:
-        shifted = [x - b for x, b in zip(point, self.offset)]
-        return mat_vec(self.matrix, shifted)
-
-    def unapply_point(self, point: Sequence[Scalar]) -> List[Scalar]:
-        pulled = mat_vec(self.matrix_inv, list(point))
-        return [x + b for x, b in zip(pulled, self.offset)]
 
 
 def reduce_depth(system: PolySystem) -> PolySystem:
@@ -239,7 +155,8 @@ def apply_affine(system: PolySystem, params: TransformParams) -> PolySystem:
     a_rows = [list(r) for r in params.matrix]
     a_inv = [list(r) for r in params.matrix_inv]
     offset = list(params.offset)
-    substituted = [p.substitute_affine(a_inv, offset) for p in system.polys]
+    images = affine_images(a_inv, offset)
+    substituted = [p.compose(images) for p in system.polys]
     shift_back = mat_vec(a_rows, offset)
     polys = []
     for p in range(k):
@@ -256,8 +173,14 @@ def apply_affine(system: PolySystem, params: TransformParams) -> PolySystem:
 # -- fixed points -------------------------------------------------------------
 
 
-def _newton_fixed_point(system: PolySystem, start: Sequence[complex],
-                        tol: float, max_iterations: int = 80) -> Optional[List[complex]]:
+# damped Newton gives up after this many steps; a residual at most the
+# tolerance counts as a fixed point
+_NEWTON_MAX_ITERATIONS = 80
+_NEWTON_TOL = 1e-10
+
+
+def _newton_fixed_point(system: PolySystem,
+                        start: Sequence[complex]) -> Optional[List[complex]]:
     k = system.k
     gs = [p - Poly.variable(k, l).scaled(system.mode.one)
           for l, p in enumerate(system.polys)]
@@ -268,8 +191,8 @@ def _newton_fixed_point(system: PolySystem, start: Sequence[complex],
         return max(abs(g.evaluate(at)) for g in gs)
 
     current = residual(point)
-    for _ in range(max_iterations):
-        if current <= tol:
+    for _ in range(_NEWTON_MAX_ITERATIONS):
+        if current <= _NEWTON_TOL:
             return point
         jac = [[jacobian[r][c].evaluate(point) for c in range(k)] for r in range(k)]
         rhs = [-g.evaluate(point) for g in gs]
@@ -288,39 +211,27 @@ def _newton_fixed_point(system: PolySystem, start: Sequence[complex],
             damping /= 2
         else:
             return None
-    return point if current <= tol else None
+    return point if current <= _NEWTON_TOL else None
 
 
-def fixed_points(system: PolySystem, seeds: Optional[Sequence[Sequence[Scalar]]] = None,
-                 seed: int = 0, tol: float = 1e-10) -> List[List[Scalar]]:
+def fixed_points(system: PolySystem, seed: int = 0) -> List[List[Scalar]]:
     """Fixed points of the depth-one map, deterministically ordered.
 
     Exact mode: for one variable, all rational roots of F(d) - d; for
-    several variables the origin (when the constant term vanishes) plus
-    any caller-supplied candidates that verify exactly. Float mode: all
-    numeric roots for one variable, damped Newton from seeded random
-    starts otherwise.
+    several variables the origin, when the constant term vanishes. Float
+    mode: all numeric roots for one variable, damped Newton from the
+    origin and seeded random starts otherwise.
     """
     system.require_depth_one("fixed points")
     k = system.k
-    found: List[List[Scalar]] = []
     if system.mode is Mode.EXACT:
-        if k == 1:
-            shifted = system.polys[0] - Poly.variable(1, 0)
-            if shifted.is_zero():
-                found = [[Fraction(0)]]  # every point is fixed; report the origin
-            else:
-                found = [[r] for r in rational_roots(shifted)]
-        else:
-            if all(c == 0 for c in system.constant_vector()):
-                found.append([Fraction(0)] * k)
-        for cand in seeds or []:
-            vec = [Fraction(x) for x in cand]
-            if all(p.evaluate(vec) == v for p, v in zip(system.polys, vec)):
-                if vec not in found:
-                    found.append(vec)
-        found.sort(key=lambda v: tuple(v))
-        return found
+        if k > 1:
+            vanishes = all(c == 0 for c in system.constant_vector())
+            return [[Fraction(0)] * k] if vanishes else []
+        shifted = system.polys[0] - Poly.variable(1, 0)
+        if shifted.is_zero():
+            return [[Fraction(0)]]  # every point is fixed; report the origin
+        return [[r] for r in rational_roots(shifted)]
     # float mode
     if k == 1:
         shifted = system.polys[0] - Poly.variable(1, 0).scaled(system.mode.one)
@@ -329,17 +240,14 @@ def fixed_points(system: PolySystem, seeds: Optional[Sequence[Sequence[Scalar]]]
         roots = complex_roots(shifted, seed=seed)
         candidates = [[r] for r in roots]
     else:
-        import random as _random
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         starts: List[List[complex]] = [[complex(0)] * k]
-        for s in seeds or []:
-            starts.append([complex(x) for x in s])
         for _ in range(8):
             starts.append([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                            for _ in range(k)])
         candidates = []
         for start in starts:
-            got = _newton_fixed_point(system, start, tol)
+            got = _newton_fixed_point(system, start)
             if got is not None:
                 candidates.append(got)
     deduped: List[List[Scalar]] = []
@@ -417,22 +325,26 @@ def _divide_linear(p: Poly, root: Fraction) -> Tuple[Poly, bool]:
     return Poly(1, {(j,): c for j, c in enumerate(out)}), True
 
 
-def _is_nearly_rational(x: float, max_denominator: int = 64,
-                        tol: float = 1e-9) -> Optional[Fraction]:
+def _is_nearly_rational(x: float) -> Optional[Fraction]:
+    """x as a fraction with denominator at most 64, when one is within
+    1e-9 of it."""
     if not math.isfinite(x):
         return None
-    approx = Fraction(x).limit_denominator(max_denominator)
-    if abs(approx - Fraction(x)) <= tol:
+    approx = Fraction(x).limit_denominator(64)
+    if abs(approx - Fraction(x)) <= 1e-9:
         return approx
     return None
 
 
+# float eigenvalue products this close (relative) collide
+_COLLISION_TOL = 1e-9
 # how close to 1 a float eigenvalue must be to count as the eigenvalue 1
 _FLOAT_ROOT_TOL = 1e-6
+# the root-of-unity advisory tries orders 1.._UNITY_BOUND
+_UNITY_BOUND = 24
 
 
 def check_shift_admissible(system: PolySystem, max_power: int,
-                           unity_bound: int = 24, tol: float = 1e-9,
                            seed: int = 0) -> AdmissibilityReport:
     """Check that all monomial products of the linear-part eigenvalues up
     to total degree max_power are pairwise distinct.
@@ -470,25 +382,25 @@ def check_shift_admissible(system: PolySystem, max_power: int,
     else:
         by_value = sorted(products, key=lambda mv: sort_key(mv[1]))
         for (mono_a, val_a), (mono_b, val_b) in zip(by_value, by_value[1:]):
-            if nearly_equal(val_a, val_b, tol):
+            if nearly_equal(val_a, val_b, _COLLISION_TOL):
                 collisions.append((mono_a, mono_b, val_a))
         # a numerical fixed point is only as accurate as its root, and at a
         # double root that is about the square root of the residual. So an
         # eigenvalue within root accuracy of 1 collides with the constant
         # monomial's product 1, as it does in exact mode; the scan above
-        # already names one within tol
+        # already names one within _COLLISION_TOL
         constant, one = products[0]
         for mono, value in products:
-            if (sum(mono) == 1 and not nearly_equal(value, one, tol)
+            if (sum(mono) == 1 and not nearly_equal(value, one, _COLLISION_TOL)
                     and nearly_equal(value, one, _FLOAT_ROOT_TOL)):
                 collisions.append((constant, mono, value))
     advisories: List[str] = []
     if system.k == 1:
         lam = eigs[0]
-        for q in range(1, unity_bound + 1):
+        for q in range(1, _UNITY_BOUND + 1):
             power = lam ** q
             if (power == 1 if system.mode is Mode.EXACT
-                    else nearly_equal(power, complex(1), tol)):
+                    else nearly_equal(power, complex(1), _COLLISION_TOL)):
                 advisories.append(
                     f"eigenvalue {format_scalar(lam)} is a root of unity "
                     f"(order {q}); products repeat at every truncation order")
@@ -604,8 +516,13 @@ def _float_nullvector(matrix: List[List[complex]]) -> List[complex]:
     return x
 
 
-def triangularize_linear(system: PolySystem, seed: int = 0,
-                         tol: float = 1e-10) -> Tuple[PolySystem, TransformParams]:
+# float linear entries below the diagonal up to this, relative to the
+# largest entry, are dropped as residue
+_SUBDIAGONAL_TOL = 1e-10
+
+
+def triangularize_linear(system: PolySystem,
+                         seed: int = 0) -> Tuple[PolySystem, TransformParams]:
     """Find a change of basis making the linear part upper triangular,
     and return the rewritten system along with the transform.
 
@@ -647,7 +564,7 @@ def triangularize_linear(system: PolySystem, seed: int = 0,
     # float mode
     scale = max(max_abs(linear), 1.0)
     if is_upper_triangular(linear, 1e-12):
-        cleaned = _zero_subdiagonal_linear(system, tol * scale)
+        cleaned = _zero_subdiagonal_linear(system, _SUBDIAGONAL_TOL * scale)
         return cleaned, TransformParams.identity(k, system.mode)
     eigs = complex_roots(char_poly(linear, Mode.FLOAT), seed=seed)
     work = [list(row) for row in linear]
@@ -661,7 +578,7 @@ def triangularize_linear(system: PolySystem, seed: int = 0,
             f"float triangularization did not converge (residue {residue:.2e})")
     params = TransformParams.create(qacc, [complex(0)] * k, Mode.FLOAT)
     transformed = apply_affine(system, params)
-    return _zero_subdiagonal_linear(transformed, tol * scale), params
+    return _zero_subdiagonal_linear(transformed, _SUBDIAGONAL_TOL * scale), params
 
 
 def _zero_subdiagonal_linear(system: PolySystem, threshold: float) -> PolySystem:

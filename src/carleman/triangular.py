@@ -41,9 +41,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import RepeatedEigenvalueError
+from .linalg import is_upper_triangular
 from .scalars import Mode, Scalar, format_scalar, nearly_equal
 
 SparseMatrix = List[Dict[int, Scalar]]
+
+# float diagonal entries this close (relative) count as repeated
+_COLLISION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,28 +64,8 @@ class SpectralDecomposition:
     modal_inv: Tuple[Dict[int, Scalar], ...]
     mode: Mode
 
-    @property
-    def size(self) -> int:
-        return len(self.eigenvalues)
 
-
-def sparse_is_upper_triangular(rows: Sequence[Dict[int, Scalar]],
-                               tol: float = 0.0) -> bool:
-    """Zero below the diagonal; tol > 0 allows float residue relative to
-    the largest entry (the sparse form of linalg.is_upper_triangular)."""
-    if tol:
-        largest = max((abs(x) for row in rows for x in row.values()),
-                      default=0.0)
-        bound = tol * max(1.0, float(largest))
-        return all(abs(x) <= bound
-                   for i, row in enumerate(rows)
-                   for j, x in row.items() if j < i)
-    return all(x == 0 for i, row in enumerate(rows)
-               for j, x in row.items() if j < i)
-
-
-def _check_distinct_diagonal(diagonal: Sequence[Scalar], mode: Mode,
-                             tol: float) -> None:
+def _check_distinct_diagonal(diagonal: Sequence[Scalar], mode: Mode) -> None:
     if mode is Mode.EXACT:
         positions: Dict[Scalar, List[int]] = {}
         for a, value in enumerate(diagonal):
@@ -95,7 +79,7 @@ def _check_distinct_diagonal(diagonal: Sequence[Scalar], mode: Mode,
             (a, b, diagonal[a])
             for a in range(len(diagonal))
             for b in range(a + 1, len(diagonal))
-            if nearly_equal(diagonal[a], diagonal[b], tol)]
+            if nearly_equal(diagonal[a], diagonal[b], _COLLISION_TOL)]
     if collisions:
         shown = ", ".join(
             f"positions {a} and {b} share {format_scalar(v)}"
@@ -184,7 +168,6 @@ def _solve_row(reversed_rows: List[List[Tuple[int, Scalar]]], r: int,
 
 
 def decompose(matrix: Sequence[Dict[int, Scalar]], mode: Mode,
-              tol: float = 1e-9,
               rows: Optional[Sequence[int]] = None) -> SpectralDecomposition:
     """Eigendecompose a sparse upper-triangular matrix with distinct
     diagonal.
@@ -194,12 +177,11 @@ def decompose(matrix: Sequence[Dict[int, Scalar]], mode: Mode,
     rows. modal_inv is always complete.
     """
     n = len(matrix)
-    if not sparse_is_upper_triangular(matrix,
-                                      0.0 if mode is Mode.EXACT else 1e-12):
+    if not is_upper_triangular(matrix, 0.0 if mode is Mode.EXACT else 1e-12):
         raise ValueError("decompose expects an upper-triangular matrix")
     zero, one = mode.zero, mode.one
     diagonal = [matrix[i].get(i, zero) for i in range(n)]
-    _check_distinct_diagonal(diagonal, mode, tol)
+    _check_distinct_diagonal(diagonal, mode)
     wanted = set(range(n) if rows is None else rows)
     if not wanted <= set(range(n)):
         raise ValueError(f"requested rows {sorted(wanted)} exceed size {n}")

@@ -11,7 +11,8 @@ from typing import List, Optional, Tuple
 
 from hypothesis import settings
 
-from carleman import Poly, PolySystem
+from carleman.poly import Poly
+from carleman.systems import PolySystem
 from carleman.scalars import Mode
 
 settings.register_profile("suite", deadline=None, derandomize=True)

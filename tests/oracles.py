@@ -13,19 +13,30 @@ ExpSum.evaluate, the oracle for the integer evaluation of exact verify.
 chain_sum_eigenvector_entry() and chain_sum_inverse_entry() give single
 entries of P and P^-1 as sums over strictly increasing index chains, the
 paper's combinatorial formulas; they are exponential in matrix size.
+
+The paper's other cross-check formulas live here too: multinomial_entry()
+gives one entry of a univariate transition matrix by the closed
+multinomial sum, kron_index_monomial() names the monomial behind one
+coordinate of the stacked Kronecker power vector, matrix_power() is the
+dense power of a transition matrix, determinant() is Gaussian
+elimination, and apply_point() maps a point into a transform's primed
+coordinates.
 """
 
+import math
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from carleman.embedding import MonomialBasis
 from carleman.linalg import Matrix, identity, mat_mul, mat_vec
-from carleman.errors import CarlemanError, SizeLimitError
-from carleman.poly import Monomial, Poly, grlex_key
+from carleman.errors import ArityError, CarlemanError, SizeLimitError
+from carleman.poly import Monomial, Poly, affine_images, grlex_key
 from carleman.scalars import Mode, Scalar
 from carleman.solver import (ClosedFormSolution, ExpSum, VerificationReport,
                              VerificationRow, _FLOAT_CONSTANT_TOL,
                              _ORACLE_TERM_LIMIT, _clean_float_constants)
-from carleman.systems import PolySystem, apply_affine, reduce_depth
+from carleman.systems import (PolySystem, TransformParams, apply_affine,
+                              reduce_depth)
 
 
 def dense(rows: Sequence[Dict[int, Scalar]], mode: Mode = Mode.EXACT) -> Matrix:
@@ -77,7 +88,7 @@ def power_from_decomposition(spec, exponent: int) -> Matrix:
     """Reassemble T^exponent as modal * diag(eigs^exponent) * modal_inv."""
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
-    n = spec.size
+    n = len(spec.eigenvalues)
     modal = dense(spec.modal, spec.mode)
     scaled = [[modal[r][c] * spec.eigenvalues[c] ** exponent
                for c in range(n)] for r in range(n)]
@@ -106,7 +117,7 @@ def fold_pullback(solution) -> List[Dict[Monomial, ExpSum]]:
         # basis monomial l of the shifted coordinates, written in the
         # original initial conditions
         expansion = Poly.from_monomial(w, basis.monomials[l], one)
-        expansion = expansion.substitute_affine(a_rows, neg_ab)
+        expansion = expansion.compose(affine_images(a_rows, neg_ab))
         carriers: List[Tuple[int, ExpSum]] = []
         for p in range(w):
             pairs = []
@@ -274,3 +285,132 @@ def chain_sum_inverse_entry(matrix: Matrix, b: int, m: int, mode: Mode) -> Scala
             product = product * matrix[l_cur][l_next] / (matrix[l_cur][l_cur])
         total = total + product * (mode.one if p % 2 else -mode.one)
     return total / matrix[m][m]
+
+
+# -- transition-matrix, linear-algebra and transform cross-checks --------------
+
+
+def kron_index_monomial(k: int, index: int) -> Monomial:
+    """Monomial represented by one coordinate of the stacked Kronecker
+    power vector (1, z, z tensor z, ...).
+
+    Different Kronecker coordinates can name the same monomial; this map
+    is how the redundant tensor indexing collapses onto exponent tuples.
+    """
+    if k < 1 or index < 0:
+        raise ArityError(f"bad kronecker coordinate ({k=}, {index=})")
+    if index == 0:
+        return (0,) * k
+    if k == 1:
+        return (index,)
+    # block of degree s starts at (k^s - 1) / (k - 1)
+    degree = 0
+    while (k ** (degree + 1) - 1) // (k - 1) <= index:
+        degree += 1
+    exponents = [0] * k
+    for s in range(1, degree + 1):
+        block_start = (k ** s - 1) // (k - 1)
+        digit = ((index - block_start) // k ** (s - 1)) % k
+        exponents[digit] += 1
+    return tuple(exponents)
+
+
+def multinomial_entry(coeffs: Sequence[Scalar], a: int, b: int) -> Scalar:
+    """Transition entry (a, b) for a univariate map with coefficient
+    vector c0..cm, computed by the closed multinomial sum: over all
+    splittings k_0..k_m >= 0 with sum k_l = a and sum l*k_l = b, add
+    a! / prod(k_l!) * prod(c_l ** k_l).
+    """
+    m = len(coeffs) - 1
+    if m < 0:
+        raise ArityError("empty coefficient vector")
+    if a < 0 or b < 0:
+        raise ArityError("row and column must be non-negative")
+    zero = coeffs[0] * 0
+    if a == 0:
+        return zero + 1 if b == 0 else zero
+
+    total = zero
+    fact_a = math.factorial(a)
+
+    # enumerate k_m, k_{m-1}, ..., k_1 with pruning; k_0 soaks up the rest
+    def recurse(level: int, remaining: int, weight: int,
+                denom: int, product: Scalar):
+        nonlocal total
+        if level == 0:
+            # k_0 = remaining contributes no weight, so all of b must be used
+            if weight == 0:
+                c0_power = coeffs[0] * 0 + 1
+                for _ in range(remaining):
+                    c0_power = c0_power * coeffs[0]
+                total = total + product * c0_power * Fraction(
+                    fact_a, denom * math.factorial(remaining))
+            return
+        max_k = min(remaining, weight // level)
+        term_pow = coeffs[level] * 0 + 1
+        for k_l in range(0, max_k + 1):
+            if k_l == 0 or coeffs[level] != 0:
+                recurse(level - 1, remaining - k_l, weight - k_l * level,
+                        denom * math.factorial(k_l), product * term_pow)
+            if coeffs[level] == 0:
+                break
+            term_pow = term_pow * coeffs[level]
+
+    recurse(m, a, b, 1, zero + 1)
+    return total
+
+
+def matrix_power(matrix, exponent: int) -> List[List[Scalar]]:
+    """Plain dense power of a CarlemanMatrix by repeated squaring."""
+    if exponent < 0:
+        raise ArityError(f"negative matrix power {exponent}")
+    result = identity(len(matrix.rows), matrix.mode)
+    base = matrix.dense_rows()
+    e = exponent
+    while e:
+        if e & 1:
+            result = mat_mul(result, base)
+        e >>= 1
+        if e:
+            base = mat_mul(base, base)
+    return result
+
+
+def determinant(a: Sequence[Sequence[Scalar]], mode: Mode) -> Scalar:
+    n = len(a)
+    work = [list(row) for row in a]
+    det = mode.one
+    for col in range(n):
+        pivot_row = None
+        if mode is Mode.EXACT:
+            for r in range(col, n):
+                if work[r][col] != 0:
+                    pivot_row = r
+                    break
+        else:
+            best = 0.0
+            for r in range(col, n):
+                if abs(work[r][col]) > best:
+                    best, pivot_row = abs(work[r][col]), r
+            if best == 0.0:
+                pivot_row = None
+        if pivot_row is None:
+            return mode.zero
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            det = -det
+        pivot = work[col][col]
+        det = det * pivot
+        for r in range(col + 1, n):
+            if work[r][col] != 0:
+                factor = work[r][col] / pivot
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return det
+
+
+
+
+def apply_point(params: TransformParams, point: Sequence[Scalar]) -> List[Scalar]:
+    """The primed coordinates matrix (point - offset) of a point."""
+    shifted = [x - b for x, b in zip(point, params.offset)]
+    return mat_vec(params.matrix, shifted)

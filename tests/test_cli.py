@@ -342,6 +342,21 @@ def test_unshiftable_exact_system_suggests_alternatives(tmp_path, capsys):
     assert "supply --shift or use --mode float" in capsys.readouterr().err
 
 
+def test_refused_candidate_names_its_reason(tmp_path, capsys):
+    # the origin is a fixed point, but its eigenvalues are irrational
+    code = main(["solve", write(tmp_path, FIB), "--order", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: shift: no fixed point gives")
+    assert ("(candidates tried: [0, 0]: the linear part has irrational or "
+            "complex eigenvalues;") in captured.err
+    # a candidate refused by colliding products has no note to add
+    main(["solve", write(tmp_path, "vars: u\nu[i] = -1*u[i-1]\n"),
+          "--order", "2"])
+    assert "(candidates tried: [0]);" in capsys.readouterr().err
+
+
 def test_unshiftable_float_system_suggests_shift_or_lower_order(tmp_path,
                                                                 capsys):
     # the only fixed point has eigenvalue -1, and (-1)^2 collides with 1

@@ -57,7 +57,7 @@ def test_multi_variable_lag_layout():
     text = "vars: a, b\na[i] = b[i-2]\nb[i] = a[i-1]\n"
     system, _ = parse_system(text, Mode.EXACT)
     # flattened order: a[i-1], b[i-1], a[i-2], b[i-2]
-    assert system.state_width == 4
+    assert system.k * system.depth == 4
     assert system.polys[0].terms == {(0, 0, 0, 1): F(1)}
     assert system.polys[1].terms == {(1, 0, 0, 0): F(1)}
 

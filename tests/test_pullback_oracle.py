@@ -13,10 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from carleman import PolySystem, SolveOptions, parse_system, solve
+from carleman import SolveOptions, parse_system, solve
 from carleman.poly import Poly
 from carleman.scalars import Mode
-from carleman.systems import TransformParams, apply_affine
+from carleman.systems import PolySystem, TransformParams, apply_affine
 
 from conftest import random_triangular_system
 from oracles import fold_pullback

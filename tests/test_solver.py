@@ -8,14 +8,14 @@ from fractions import Fraction
 import pytest
 
 from carleman import (
-    ArityError, CarlemanError, ClosedFormSolution, ExpSum,
-    RepeatedEigenvalueError, ShiftNotFoundError, SolveOptions,
-    eval_direct, history_to_reduced_state,
-    oracle_iterate_symbolic, parse_system, reduce_depth,
-    reduced_variable_names, resolve_shift, solve, verify,
+    ArityError, CarlemanError, ExpSum, RepeatedEigenvalueError,
+    ShiftNotFoundError, SolveOptions, eval_direct, history_to_reduced_state,
+    oracle_iterate_symbolic, parse_system, solve, verify,
 )
 from carleman.scalars import Mode
-from carleman.systems import TransformParams, apply_affine
+from carleman.solver import (ClosedFormSolution, reduced_variable_names,
+                             resolve_shift)
+from carleman.systems import reduce_depth
 
 from conftest import random_triangular_system
 

@@ -59,7 +59,7 @@ def test_coupled_modal_and_inverse_entries():
 
 def test_modal_reconstructs_matrix():
     spec = decompose(sparse(COUPLED_TILDE), Mode.EXACT)
-    n = spec.size
+    n = len(spec.eigenvalues)
     diag = [[spec.eigenvalues[r] if r == c else F(0) for c in range(n)]
             for r in range(n)]
     product = mat_mul(dense(spec.modal),
@@ -71,7 +71,7 @@ def test_modal_columns_are_eigenvectors():
     matrix = logistic_matrix()
     spec = decompose(sparse(matrix), Mode.EXACT)
     modal = dense(spec.modal)
-    n = spec.size
+    n = len(spec.eigenvalues)
     for j in range(n):
         column = [modal[r][j] for r in range(n)]
         image = [sum(matrix[r][c] * column[c] for c in range(n))

@@ -15,10 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from carleman import (ClosedFormSolution, SolveOptions, parse_system, solve,
-                      verify)
+from carleman import SolveOptions, parse_system, solve, verify
 from carleman.scalars import Mode
-from carleman.solver import _oracle_start, _oracle_step
+from carleman.solver import ClosedFormSolution, _oracle_start, _oracle_step
 
 from conftest import random_triangular_system
 from oracles import fraction_verify
