@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -210,7 +211,12 @@ class Poly:
 
         out = Poly.zero(inner_vars)
         constant = (0,) * inner_vars
+        # a term whose product starts above the cutoff adds nothing
+        lowest = None if max_degree is None else [
+            min(map(sum, arg.terms), default=max_degree + 1) for arg in arguments]
         for mono, coeff in self.terms.items():
+            if lowest and sum(map(operator.mul, mono, lowest)) > max_degree:
+                continue
             piece = Poly._trusted(inner_vars, {constant: coeff})
             for l, e in enumerate(mono):
                 if e:

@@ -34,8 +34,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from .embedding import MonomialBasis, build_transition
 from .errors import (ArityError, CarlemanError, NotShiftedError,
@@ -77,31 +77,18 @@ class ExpSum:
 
     @classmethod
     def from_terms(cls, mode: Mode,
-                   pairs: Sequence[Tuple[Scalar, Scalar]],
-                   rank: Optional[Dict[Tuple[int, int], int]] = None
-                   ) -> "ExpSum":
-        """Canonical sum of (base, coeff) pairs. rank, exact mode only, is
-        _base_rank() of a list holding every base."""
-        if mode is Mode.EXACT:
-            running = ExpSumAccumulator(mode, rank)
-            running.add_pairs(pairs)
-            return running.result()
+                   pairs: Sequence[Tuple[Scalar, Scalar]]) -> "ExpSum":
+        """Canonical sum of (base, coeff) pairs."""
         merged: List[List[Scalar]] = []
         for base, coeff in sorted(pairs, key=lambda bc: sort_key(bc[0])):
             if merged and nearly_equal(merged[-1][0], base, _FLOAT_MERGE_TOL):
                 merged[-1][1] = merged[-1][1] + coeff
             else:
                 merged.append([base, coeff])
-        kept = [(b, c) for b, c in merged if c != 0]
-        if kept:
-            scale = max(1.0, max(abs(c) for _, c in kept))
-            kept = [(b, c) for b, c in kept if abs(c) > _FLOAT_COEFF_DROP * scale]
-        kept.sort(key=lambda bc: sort_key(bc[0]))
-        return cls(mode=mode, terms=tuple(kept))
-
-    @classmethod
-    def zero(cls, mode: Mode) -> "ExpSum":
-        return cls(mode=mode, terms=())
+        drop = 0 if mode is Mode.EXACT else _FLOAT_COEFF_DROP * max(
+            1.0, max((abs(c) for _, c in merged), default=0.0))
+        return cls(mode=mode, terms=tuple(
+            (b, c) for b, c in merged if abs(c) > drop))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -113,21 +100,6 @@ class ExpSum:
         for base, coeff in self.terms:
             total = total + coeff * base ** i
         return total
-
-    def __add__(self, other: "ExpSum") -> "ExpSum":
-        if self.mode is not other.mode:
-            raise ArityError("cannot add exponential sums from different modes")
-        return ExpSum.from_terms(self.mode, list(self.terms) + list(other.terms))
-
-    def scaled(self, factor: Scalar) -> "ExpSum":
-        if factor == 0:
-            return ExpSum.zero(self.mode)
-        if self.mode is Mode.EXACT:
-            # a nonzero factor keeps the bases and keeps every coefficient
-            # nonzero, so the sum stays canonical
-            return ExpSum(self.mode, tuple((b, c * factor) for b, c in self.terms))
-        return ExpSum.from_terms(self.mode,
-                                 [(b, c * factor) for b, c in self.terms])
 
     def render(self, index_name: str = "i") -> str:
         """ASCII rendering with bases ascending, e.g. '-5*2^i + 6*3^i'."""
@@ -151,68 +123,6 @@ class ExpSum:
         pairs = [(scalar_from_json(mode, t["base"]),
                   scalar_from_json(mode, t["coeff"])) for t in data]
         return cls.from_terms(mode, pairs)
-
-
-class ExpSumAccumulator:
-    """Running sum of exponential sums, put in canonical form once by
-    result().
-
-    Exact sums do not depend on the order of addition, so exact mode adds
-    each coefficient into a bucket keyed by its base's (numerator,
-    denominator): a pair of ints hashes without the modular inverse a
-    Fraction hash costs, and nothing is sorted until result(). Float mode
-    keeps the left fold of ExpSum.__add__, so every digit matches adding
-    the sums one at a time.
-
-    rank, exact mode only, maps each (numerator, denominator) key to the
-    position of its base in ascending order (_base_rank()), so that result()
-    sorts ints instead of comparing Fractions.
-    """
-
-    def __init__(self, mode: Mode,
-                 rank: Optional[Dict[Tuple[int, int], int]] = None):
-        self.mode = mode
-        self._rank = rank
-        self._buckets: Dict[Tuple[int, int], List[Scalar]] = {}
-        self._folded: Optional[ExpSum] = None
-
-    def add_pairs(self, pairs: Iterable[Tuple[Scalar, Scalar]]) -> None:
-        """Exact mode only: add (base, coeff) pairs of Fractions."""
-        buckets = self._buckets
-        for base, coeff in pairs:
-            key = (base.numerator, base.denominator)
-            entry = buckets.get(key)
-            if entry is None:
-                buckets[key] = [base, coeff]
-            else:
-                entry[1] = entry[1] + coeff
-
-    def add(self, exp_sum: ExpSum) -> None:
-        if self.mode is Mode.EXACT:
-            self.add_pairs(exp_sum.terms)
-        elif self._folded is None:
-            self._folded = exp_sum
-        else:
-            self._folded = self._folded + exp_sum
-
-    def result(self) -> ExpSum:
-        if self.mode is Mode.FLOAT:
-            return ExpSum.zero(self.mode) if self._folded is None else self._folded
-        buckets = self._buckets
-        if self._rank is None:
-            keys = sorted(buckets, key=lambda key: buckets[key][0])
-        else:
-            keys = sorted(buckets, key=self._rank.__getitem__)
-        return ExpSum(self.mode, tuple((b, c) for b, c in map(buckets.get, keys)
-                                       if c != 0))
-
-
-def _base_rank(bases: Iterable[Fraction]) -> Dict[Tuple[int, int], int]:
-    """Position of each distinct exact base in ascending order, keyed by
-    (numerator, denominator)."""
-    distinct = {(b.numerator, b.denominator): b for b in bases}
-    return {(b.numerator, b.denominator): r
-            for r, b in enumerate(sorted(distinct.values()))}
 
 
 def _split_sign(value: Scalar) -> Tuple[str, Scalar]:
@@ -619,88 +529,79 @@ def reduced_variable_names(system: PolySystem,
 def _assemble(transformed: PolySystem, basis: MonomialBasis,
               spectral, var_rows: List[int], combined: TransformParams,
               names: Tuple[str, ...]) -> ClosedFormSolution:
-    """var_rows[q] is the basis row of variable q, the only rows of
-    spectral.modal read here."""
+    """Both coefficient tables, read off T^i = P D^i P^-1 by _exp_sum_tables.
+
+    Shifted coordinates: C is the rows var_rows of P, the only rows of
+    spectral.modal read here, and G[j] is row j of P^-1 with column l read
+    as basis monomial l. Original coordinates z = A^-1 y + B: C' = A^-1 C,
+    and G'[j] is the sum over l of P^-1[j][l] * E_l, where E_l is basis
+    monomial l written in z_0 by y_0 = A z_0 - A B.
+    """
     mode = transformed.mode
-    w = transformed.k
-    size = len(basis)
-    modal = spectral.modal
-    modal_inv = spectral.modal_inv
     eigs = spectral.eigenvalues
-    # every base below is an eigenvalue, so exact sums sort by one ranking
-    rank = _base_rank(eigs) if mode is Mode.EXACT else None
-
-    # coefficient of basis monomial l in transformed variable q at step i:
-    # sum over j of P[r][j] * P^-1[j][l] * eigs[j]^i, r the row of q; only
-    # the j with both entries stored give a nonzero term
-    flows: List[List[Optional[ExpSum]]] = [[None] * size for _ in range(w)]
-    transformed_tables: List[Dict[Monomial, ExpSum]] = [dict() for _ in range(w)]
-    for q in range(w):
-        pairs_by_column: Dict[int, List[Tuple[Scalar, Scalar]]] = {}
-        for j, p_rj in modal[var_rows[q]].items():
-            base = eigs[j]
-            for l, q_jl in modal_inv[j].items():
-                pairs_by_column.setdefault(l, []).append((base, p_rj * q_jl))
-        for l in sorted(pairs_by_column):
-            exp_sum = ExpSum.from_terms(mode, pairs_by_column[l], rank=rank)
-            if not exp_sum.is_zero():
-                flows[q][l] = exp_sum
-                transformed_tables[q][basis.monomials[l]] = exp_sum
-
-    a_rows = [list(r) for r in combined.matrix]
-    a_inv = [list(r) for r in combined.matrix_inv]
-    offset = list(combined.offset)
-    neg_ab = [-x for x in mat_vec(a_rows, offset)]
-
-    one = mode.one
-    tables: List[Dict[Monomial, ExpSum]] = [dict() for _ in range(w)]
-    identity_transform = combined.is_identity()
-    if identity_transform:
-        tables = [dict(t) for t in transformed_tables]
-    else:
-        # each cell keeps a running sum, put in canonical form once at the
-        # end. Exact addition does not depend on order, so exact sums are
-        # bucketed by base; float addition does, so float sums stay a left
-        # fold of ExpSum.__add__ in loop order and keep every digit of it.
-        running: List[Dict[Monomial, ExpSumAccumulator]] = [dict() for _ in range(w)]
-        images = affine_images(a_rows, neg_ab)
-        for l in range(1, size):
-            # basis monomial l of the shifted coordinates, written in the
-            # original initial conditions
-            expansion = Poly.from_monomial(w, basis.monomials[l], one)
-            expansion = expansion.compose(images)
-            carriers: List[Tuple[int, ExpSum]] = []
-            for p in range(w):
-                pairs = []
-                for q in range(w):
-                    if a_inv[p][q] != 0 and flows[q][l] is not None:
-                        pairs.extend((b, c * a_inv[p][q])
-                                     for b, c in flows[q][l].terms)
-                if pairs:
-                    carriers.append((p, ExpSum.from_terms(mode, pairs,
-                                                      rank=rank)))
-            for mono, gamma in expansion.terms.items():
-                for p, carrier in carriers:
-                    addition = carrier.scaled(gamma)
-                    if addition.is_zero():
-                        continue
-                    cell = running[p].get(mono)
-                    if cell is None:
-                        cell = running[p][mono] = ExpSumAccumulator(mode, rank)
-                    cell.add(addition)
-        for p in range(w):
-            sums = ((m, cell.result()) for m, cell in running[p].items())
-            tables[p] = {m: s for m, s in sums if not s.is_zero()}
+    modal_inv = spectral.modal_inv
+    monomials = basis.monomials
+    p_rows = [spectral.modal[r] for r in var_rows]
+    transformed_tables = _exp_sum_tables(
+        mode, eigs, p_rows,
+        lambda j: {monomials[l]: x for l, x in modal_inv[j].items()})
+    tables = transformed_tables
+    if not combined.is_identity():
+        a_rows, offset = combined.matrix, combined.offset
+        images = affine_images(a_rows, [-x for x in mat_vec(a_rows, offset)])
+        expansions = [Poly.from_monomial(transformed.k, m, mode.one)
+                      .compose(images).terms for m in monomials]
+        c_rows = [_combination(zip(row, p_rows), mode.zero)
+                  for row in combined.matrix_inv]
+        tables = _exp_sum_tables(mode, eigs, c_rows, lambda j: _combination(
+            ((x, expansions[l]) for l, x in modal_inv[j].items()), mode.zero))
 
     return ClosedFormSolution(
         names=names,
-        offsets=tuple(offset),
+        offsets=tuple(combined.offset),
         tables=tuple(tables),
         transformed=tuple(transformed_tables),
         transform=combined,
         order=basis.order,
         mode=mode,
     )
+
+
+def _combination(pairs: Iterable[Tuple[Scalar, Dict]], zero: Scalar) -> Dict:
+    """The sum of factor * row over (factor, sparse row) pairs, without
+    zero entries."""
+    out: Dict = {}
+    for factor, row in pairs:
+        for key, x in row.items():
+            out[key] = out.get(key, zero) + factor * x
+    return {key: x for key, x in out.items() if x != 0}
+
+
+def _exp_sum_tables(mode: Mode, eigs: Sequence[Scalar],
+                    coeffs: Sequence[Dict[int, Scalar]],
+                    column: Callable[[int], Dict[Monomial, Scalar]]
+                    ) -> List[Dict[Monomial, ExpSum]]:
+    """tables[p][m] = sum over j of coeffs[p][j] * column(j)[m] * eigs[j]^i.
+
+    Neither side stores a zero, and decompose refuses repeated eigenvalues,
+    so a cell has one term per j. With j visited by ascending eigenvalue,
+    an exact cell is canonical as built; a float cell goes through
+    ExpSum.from_terms for its coefficient drop. Cells go in grlex order.
+    """
+    order = sorted(set().union(*coeffs), key=lambda j: sort_key(eigs[j]))
+    columns = {j: column(j) for j in order}
+    tables: List[Dict[Monomial, ExpSum]] = []
+    for row in coeffs:
+        cells: Dict[Monomial, List[Tuple[Scalar, Scalar]]] = {}
+        for j in order:
+            if j in row:
+                for mono, g in columns[j].items():
+                    cells.setdefault(mono, []).append((eigs[j], row[j] * g))
+        sums = ((m, ExpSum(mode, tuple(cells[m])) if mode is Mode.EXACT
+                 else ExpSum.from_terms(mode, cells[m]))
+                for m in sorted(cells, key=grlex_key))
+        tables.append({m: s for m, s in sums if not s.is_zero()})
+    return tables
 
 
 # -- brute-force oracle and verification ----------------------------------------
@@ -864,31 +765,28 @@ class VerificationReport:
     order: int
     steps: int
 
-    def step_summary(self) -> List[Tuple[int, bool, float]]:
-        out = []
-        for i in range(self.steps + 1):
-            step_rows = [r for r in self.rows if r.step == i]
-            ok = all(r.ok for r in step_rows)
-            worst = max((r.error for r in step_rows), default=0.0)
-            out.append((i, ok, worst))
-        return out
-
     def describe(self) -> str:
         lines = [f"coordinates: {self.coordinates}",
                  f"checked steps 0..{self.steps} at order {self.order}"]
-        for i, ok, worst in self.step_summary():
-            status = "PASS" if ok else "FAIL"
-            lines.append(f"i={i}: {status} (max error {worst:.3g})")
-            if not ok:
-                for row in self.rows:
-                    if row.step == i and not row.ok:
-                        lines.append(
-                            f"  {row.variable} {tuple(row.monomial)}: expected "
-                            f"{format_scalar(row.expected)}, got "
-                            f"{format_scalar(row.got)}")
-        lines.append(
-            f"result: {'PASS' if self.passed else 'FAIL'} "
-            f"(max discrepancy {self.max_discrepancy:.3g})")
+        for i in range(self.steps + 1):
+            step_rows = [r for r in self.rows if r.step == i]
+            failing = [r for r in step_rows if not r.ok]
+            worst = max((r.error for r in step_rows), default=0.0)
+            lines.append(f"i={i}: {'FAIL' if failing else 'PASS'} "
+                         f"(max error {worst:.3g})")
+            lines.extend(f"  {r.variable} {tuple(r.monomial)}: expected "
+                         f"{format_scalar(r.expected)}, got "
+                         f"{format_scalar(r.got)}" for r in failing)
+        summary = f"max discrepancy {self.max_discrepancy:.3g}"
+        if not self.passed:
+            # the check is relative, so name the row furthest past it
+            row = max((r for r in self.rows if not r.ok),
+                      key=lambda r: r.error / max(1.0, abs(r.expected)))
+            summary += (f"; worst failing row: {row.variable} "
+                        f"{tuple(row.monomial)} at i={row.step}, error "
+                        f"{row.error:.3g}, relative "
+                        f"{row.error / max(1.0, abs(row.expected)):.3g}")
+        lines.append(f"result: {'PASS' if self.passed else 'FAIL'} ({summary})")
         return "\n".join(lines)
 
     def to_json(self) -> dict:

@@ -5,8 +5,11 @@ absent). The dense functions here are the textbook loops the sparse back
 substitution replaced, kept as oracles: for the same input they must give
 the same P and P^-1 cell for cell, float bits included. dense() and
 sparse() convert between the two layouts for tests written against dense
-lists. fold_pullback() is the pullback to original coordinates as a plain
-fold of ExpSum additions, the oracle for the bucketed pullback in
+lists. fold_pullback() is the pullback to original coordinates as a fold:
+one carrier sum per (basis monomial, variable), scaled by every term of
+the monomial's expansion and added into its cell one sum at a time with
+expsum_scaled() and expsum_add(), once ExpSum.scaled and ExpSum.__add__.
+It is the exact-mode oracle for the single assembly formula in
 solver._assemble. fraction_verify() is verify() with the oracle iterated
 in Fraction (or complex) polynomials and every cell evaluated by
 ExpSum.evaluate, the oracle for the integer evaluation of exact verify.
@@ -95,10 +98,31 @@ def power_from_decomposition(spec, exponent: int) -> Matrix:
     return mat_mul(scaled, dense(spec.modal_inv, spec.mode))
 
 
+def expsum_add(a: ExpSum, b: ExpSum) -> ExpSum:
+    """The sum of two exponential sums, once ExpSum.__add__."""
+    if a.mode is not b.mode:
+        raise ArityError("cannot add exponential sums from different modes")
+    return ExpSum.from_terms(a.mode, list(a.terms) + list(b.terms))
+
+
+def expsum_scaled(exp_sum: ExpSum, factor: Scalar) -> ExpSum:
+    """An exponential sum times a scalar, once ExpSum.scaled."""
+    if factor == 0:
+        return ExpSum(exp_sum.mode, ())
+    if exp_sum.mode is Mode.EXACT:
+        # a nonzero factor keeps the bases and keeps every coefficient
+        # nonzero, so the sum stays canonical
+        return ExpSum(exp_sum.mode,
+                      tuple((b, c * factor) for b, c in exp_sum.terms))
+    return ExpSum.from_terms(exp_sum.mode,
+                             [(b, c * factor) for b, c in exp_sum.terms])
+
+
 def fold_pullback(solution) -> List[Dict[Monomial, ExpSum]]:
     """Original-coordinate tables rebuilt from solution.transformed and
-    solution.transform. Each addition to a cell rebuilds the whole sum
-    with ExpSum.__add__, in the loop order of the package's pullback."""
+    solution.transform: each shifted-coordinate cell, times A^-1, is
+    carried onto the original monomials one expansion term at a time, and
+    each addition to a cell rebuilds the whole sum with expsum_add."""
     mode = solution.mode
     w = solution.k
     basis = MonomialBasis(w, solution.order)
@@ -129,12 +153,12 @@ def fold_pullback(solution) -> List[Dict[Monomial, ExpSum]]:
                 carriers.append((p, ExpSum.from_terms(mode, pairs)))
         for mono, gamma in expansion.terms.items():
             for p, carrier in carriers:
-                addition = carrier.scaled(gamma)
+                addition = expsum_scaled(carrier, gamma)
                 if addition.is_zero():
                     continue
                 current = tables[p].get(mono)
                 tables[p][mono] = (addition if current is None
-                                   else current + addition)
+                                   else expsum_add(current, addition))
     for p in range(w):
         tables[p] = {m: s for m, s in tables[p].items() if not s.is_zero()}
     return tables

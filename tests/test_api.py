@@ -25,6 +25,7 @@ DELETED = (
     "kron_index_monomial", "power", "determinant", "copy_matrix",
     "sparse_is_upper_triangular", "coefficient", "truncated", "max_degree",
     "size", "_wrap", "collision_tol", "unity_bound", "shift_seeds",
+    "ExpSumAccumulator", "_base_rank",
 )
 
 OWNERS = (
@@ -72,6 +73,12 @@ def test_deleted_names_are_not_exported():
             assert not hasattr(owner, name), (owner, name)
 
 
+def test_expsum_has_no_arithmetic():
+    # Poly.scaled stays, so "scaled" cannot go in DELETED
+    assert not hasattr(carleman.ExpSum, "scaled")
+    assert "__add__" not in vars(carleman.ExpSum)
+
+
 def test_solve_options_hold_only_what_the_cli_sets(monkeypatch):
     seen = []
 
@@ -95,7 +102,7 @@ def test_removed_settings_stay_removed():
     assert parameters(carleman.check_shift_admissible) == [
         "system", "max_power", "seed"]
     assert parameters(carleman.decompose) == ["matrix", "mode", "rows"]
-    assert parameters(carleman.ExpSum.from_terms) == ["mode", "pairs", "rank"]
+    assert parameters(carleman.ExpSum.from_terms) == ["mode", "pairs"]
     assert parameters(carleman.systems.triangularize_linear) == [
         "system", "seed"]
     assert parameters(carleman.poly.complex_roots) == ["p", "seed"]

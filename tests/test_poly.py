@@ -150,6 +150,28 @@ def test_substitution_commutes_with_evaluation(p, point):
     assert moved_poly.evaluate(z) == p.evaluate(moved)
 
 
+def test_compose_skips_terms_that_start_above_the_cutoff(monkeypatch):
+    # without constant terms, x0^a * x1^b composes to degree >= a + 2b
+    p = Poly(2, {(a, b): Fraction(a - b + 7) for a in range(7)
+                 for b in range(7)})
+    args = [Poly(2, {(1, 0): Fraction(1), (0, 1): Fraction(2)}),
+            Poly(2, {(1, 1): Fraction(-1), (0, 2): Fraction(3)})]
+    full = p.compose(args)
+    expected = Poly(2, {m: c for m, c in full.terms.items() if sum(m) <= 3})
+    calls = []
+    multiply = Poly.mul_truncated
+
+    def counting(self, other, max_degree=None):
+        calls.append(max_degree)
+        return multiply(self, other, max_degree)
+
+    monkeypatch.setattr(Poly, "mul_truncated", counting)
+    assert p.compose(args, 3) == expected
+    # multiplying a piece for every nonconstant term takes 48 calls; only
+    # the 6 terms with a + 2b <= 3 need any
+    assert len(calls) < len(p.terms) - 1
+
+
 # -- evaluation and calculus ------------------------------------------------------
 
 

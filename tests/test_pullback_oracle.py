@@ -1,11 +1,15 @@
-"""The pullback to original coordinates against its fold oracle.
+"""The pullback to original coordinates against two oracles.
 
-solver._assemble sums each original-coordinate cell in a running
-accumulator and puts it in canonical form once. oracles.fold_pullback
-rebuilds the same tables from the solution's transformed tables by adding
-one ExpSum at a time. The two must agree cell for cell: with == in exact
-mode, and with the same repr of every base and coefficient in float mode,
-cells in the same insertion order in both.
+solver._assemble builds each original-coordinate cell with one term per
+eigenvalue, sum_j C[p][j] * G[j][m] * lambda_j^i. oracles.fold_pullback
+rebuilds the same tables from the solution's transformed tables by
+carrying each shifted-coordinate cell onto the original monomials and
+adding one ExpSum at a time. In exact mode the two must agree cell for
+cell with ==, and the package's cells must come in grlex order. Float
+sums depend on their order, so a float solution is checked against the
+exact solution of the same rational system instead: the same cells, the
+same number of terms, nearly equal bases, and every coefficient within
+FLOAT_TOL of the cell's largest exact coefficient (at least 1).
 """
 
 import random
@@ -14,8 +18,8 @@ from fractions import Fraction
 import pytest
 
 from carleman import SolveOptions, parse_system, solve
-from carleman.poly import Poly
-from carleman.scalars import Mode
+from carleman.poly import Poly, grlex_key
+from carleman.scalars import Mode, nearly_equal, sort_key
 from carleman.systems import PolySystem, TransformParams, apply_affine
 
 from conftest import random_triangular_system
@@ -31,6 +35,8 @@ COUPLED_A = [[1, 2], [-3, -5]]
 # linear part with eigenvalues 2 and 3 once flattened
 DEPTH_TWO = "vars: u\nu[i] = 5*u[i-1] - 6*u[i-2] + u[i-1]^2\n"
 MODES = [Mode.EXACT, Mode.FLOAT]
+# float coefficients come out within 1.5e-11 of exact ones on these cases
+FLOAT_TOL = 1e-9
 
 
 def in_mode(system: PolySystem, mode: Mode) -> PolySystem:
@@ -40,27 +46,44 @@ def in_mode(system: PolySystem, mode: Mode) -> PolySystem:
     return PolySystem(k=system.k, depth=system.depth, polys=polys, mode=mode)
 
 
-def assert_matches_fold(solution):
+def assert_matches_oracles(build, mode):
+    """build(mode) solves one rational system in the given mode."""
+    solution = build(mode)
     assert not solution.transform.is_identity()
+    if mode is Mode.FLOAT:
+        assert_near_exact(solution, build(Mode.EXACT))
+        return
     expected = fold_pullback(solution)
     assert len(solution.tables) == len(expected)
     for got, want in zip(solution.tables, expected):
+        assert got == want
+        assert list(got) == sorted(got, key=grlex_key)
+
+
+def assert_near_exact(solution, exact):
+    assert len(solution.tables) == len(exact.tables)
+    for got, want in zip(solution.tables, exact.tables):
         assert list(got) == list(want)
-        if solution.mode is Mode.EXACT:
-            assert got == want
-        else:
-            for mono in want:
-                assert ([(repr(b), repr(c)) for b, c in got[mono].terms]
-                        == [(repr(b), repr(c)) for b, c in want[mono].terms])
+        for mono, exact_sum in want.items():
+            assert len(got[mono].terms) == len(exact_sum.terms)
+            scale = max(1, max(abs(c) for _, c in exact_sum.terms))
+            expected = sorted(((complex(b), complex(c))
+                               for b, c in exact_sum.terms),
+                              key=lambda bc: sort_key(bc[0]))
+            for (base, coeff), (exact_base, exact_coeff) in zip(
+                    got[mono].terms, expected):
+                assert nearly_equal(base, exact_base)
+                assert abs(coeff - exact_coeff) <= FLOAT_TOL * scale
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("order", range(2, 9))
 def test_coupled_matches_fold(mode, order):
-    system, names = parse_system(COUPLED, mode)
-    solution = solve(system, SolveOptions(order=order, mode=mode,
+    def build(mode):
+        system, names = parse_system(COUPLED, mode)
+        return solve(system, SolveOptions(order=order, mode=mode,
                                           matrix=COUPLED_A), names)
-    assert_matches_fold(solution)
+    assert_matches_oracles(build, mode)
 
 
 def unimodular(rng: random.Random):
@@ -84,16 +107,17 @@ def test_random_conjugated_systems_match_fold(mode, seed):
     a_inv = TransformParams.create(a, [F(0), F(0)], Mode.EXACT).matrix_inv
     conjugated = apply_affine(tri, TransformParams.create(
         a_inv, [F(0), F(0)], Mode.EXACT))
-    solution = solve(in_mode(conjugated, mode),
-                     SolveOptions(order=5, mode=mode, matrix=a))
-    assert_matches_fold(solution)
+    assert_matches_oracles(
+        lambda mode: solve(in_mode(conjugated, mode),
+                           SolveOptions(order=5, mode=mode, matrix=a)), mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_depth_two_system_matches_fold(mode):
-    system, names = parse_system(DEPTH_TWO, mode)
-    solution = solve(system, SolveOptions(order=5, mode=mode), names)
-    assert_matches_fold(solution)
+    def build(mode):
+        system, names = parse_system(DEPTH_TWO, mode)
+        return solve(system, SolveOptions(order=5, mode=mode), names)
+    assert_matches_oracles(build, mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -103,8 +127,10 @@ def test_shift_plus_matrix_matches_fold(mode):
     coupled, names = parse_system(COUPLED, Mode.EXACT)
     moved = apply_affine(coupled, TransformParams.create(
         [[F(1), F(0)], [F(0), F(1)]], [-x for x in fixed], Mode.EXACT))
-    solution = solve(in_mode(moved, mode),
-                     SolveOptions(order=5, mode=mode, shift=fixed,
-                                  matrix=COUPLED_A), names)
-    assert any(x != 0 for x in solution.offsets)
-    assert_matches_fold(solution)
+    def build(mode):
+        solution = solve(in_mode(moved, mode),
+                         SolveOptions(order=5, mode=mode, shift=fixed,
+                                      matrix=COUPLED_A), names)
+        assert any(x != 0 for x in solution.offsets)
+        return solution
+    assert_matches_oracles(build, mode)
