@@ -3,10 +3,11 @@
 Matrices are plain lists of row lists. Sizes here are tiny (the state
 dimension k), so everything is the obvious cubic algorithm with no
 attempt at cleverness. One Gauss-Jordan row reduction backs both
-mat_inverse (run on [A | I]) and nullspace. The pipeline's basis-sized
-matrices (the transition matrix T and its eigenvector matrices P and
-P^-1) do not go through here: they are kept as sparse rows, see
-triangular.py; is_upper_triangular takes their sparse rows too.
+mat_inverse (run on [A | I]) and nullspace, in both modes. The
+pipeline's basis-sized matrices (the transition matrix T and its
+eigenvector matrices P and P^-1) do not go through here: they are kept
+as sparse rows, see triangular.py; is_upper_triangular takes their
+sparse rows too.
 """
 
 from __future__ import annotations
@@ -51,28 +52,24 @@ def mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> List[Scalar]:
     return [sum((row[j] * v[j] for j in range(len(v))), start=row[0] * 0) for row in a]
 
 
-def _row_reduce(rows: Matrix, mode: Mode, pivot_columns: int) -> List[int]:
+def _row_reduce(rows: Matrix, mode: Mode, pivot_columns: int,
+                threshold: float = 0) -> List[int]:
     """Gauss-Jordan elimination in place over the first pivot_columns
     columns, returning the pivot columns in order. Exact mode pivots on
-    the first nonzero entry, float mode on the largest magnitude; a column
-    without a pivot is skipped."""
+    the first nonzero entry, float mode on the largest magnitude; an entry
+    at or below threshold in magnitude is no pivot, and comes back as
+    exact zero. A column without a pivot is skipped."""
     pivots: List[int] = []
     for col in range(pivot_columns):
         r = len(pivots)
         if r == len(rows):
             break
-        pivot_row = None
-        if mode is Mode.EXACT:
-            pivot_row = next((i for i in range(r, len(rows))
-                              if rows[i][col] != 0), None)
-        else:
-            best = 0.0
-            for i in range(r, len(rows)):
-                mag = abs(rows[i][col])
-                if mag > best:
-                    best, pivot_row = mag, i
-        if pivot_row is None:
+        candidates = [i for i in range(r, len(rows))
+                      if abs(rows[i][col]) > threshold]
+        if not candidates:
             continue
+        pivot_row = (candidates[0] if mode is Mode.EXACT
+                     else max(candidates, key=lambda i: abs(rows[i][col])))
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pivot = rows[r][col]
         rows[r] = [x / pivot for x in rows[r]]
@@ -81,6 +78,9 @@ def _row_reduce(rows: Matrix, mode: Mode, pivot_columns: int) -> List[int]:
                 factor = rows[i][col]
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
+    if threshold:
+        rows[:] = [[x if abs(x) > threshold else mode.zero for x in row]
+                   for row in rows]
     return pivots
 
 
@@ -135,19 +135,22 @@ def char_poly(a: Sequence[Sequence[Scalar]], mode: Mode) -> Poly:
     return Poly(1, {(j,): coeffs[j] for j in range(n + 1)})
 
 
-def nullspace(a: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
-    """Basis of the exact nullspace via reduced row echelon form.
+def nullspace(a: Sequence[Sequence[Scalar]],
+              mode: Mode = Mode.EXACT) -> List[List[Scalar]]:
+    """Basis of the nullspace via reduced row echelon form. Float mode
+    takes an entry at most 1e-10 * max(1, max |entry|) for zero.
 
     Deterministic: free variables are assigned unit values in column
     order, so repeated calls give identical bases.
     """
     rows = [list(row) for row in a]
     n_cols = len(rows[0]) if rows else 0
-    pivots = _row_reduce(rows, Mode.EXACT, n_cols)
+    threshold = 0 if mode is Mode.EXACT else 1e-10 * max(1.0, max_abs(rows))
+    pivots = _row_reduce(rows, mode, n_cols, threshold)
     basis = []
     for free in (c for c in range(n_cols) if c not in pivots):
-        vec: List[Scalar] = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
+        vec: List[Scalar] = [mode.zero] * n_cols
+        vec[free] = mode.one
         for row_idx, pivot_col in enumerate(pivots):
             vec[pivot_col] = -rows[row_idx][free]
         basis.append(vec)

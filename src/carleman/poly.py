@@ -35,10 +35,6 @@ from .scalars import Scalar
 Monomial = Tuple[int, ...]
 
 
-def total_degree(monomial: Monomial) -> int:
-    return sum(monomial)
-
-
 def grlex_key(monomial: Monomial):
     """Sort key for the graded order described in the module docstring."""
     return (sum(monomial), tuple(-e for e in monomial))

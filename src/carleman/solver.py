@@ -396,7 +396,9 @@ def resolve_shift(system: PolySystem, opts: SolveOptions
             "[" + ", ".join(format_scalar(x) for x in c.offset) + "]"
             + (f": {c.note}" if c.note else "")
             for c in trail) or "none found"
+        # float mode helps only where exact mode could not compare products
         remedy = ("use --mode float" if mode is Mode.EXACT
+                  and (not trail or any(c.note for c in trail))
                   else "a lower --order")
         raise ShiftNotFoundError(
             f"shift: no fixed point gives distinct eigenvalue products up to "

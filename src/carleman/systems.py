@@ -15,13 +15,17 @@ coordinates as z' = A (z - B); the primed system is then
 
 Shifting by a fixed point (A = identity, B = fixed point) removes the
 constant term; a change of basis built from eigenvectors of the linear
-part (B = 0) makes the linear part upper triangular, which is what the
-embedding needs to produce a triangular transition matrix.
+part (B = 0) makes the linear part diagonal, hence upper triangular,
+which is what the embedding needs to produce a triangular transition
+matrix. Both modes build it the same way, from one nullspace per
+distinct eigenvalue; float mode then checks that what is left below the
+diagonal is residue, and drops it.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -32,7 +36,7 @@ from .embedding import MonomialBasis
 from .errors import (ArityError, NotShiftedError, SingularMatrixError,
                      TriangularizationError)
 from .linalg import (char_poly, identity, is_upper_triangular, mat_inverse,
-                     mat_mul, mat_vec, max_abs, nullspace)
+                     mat_vec, max_abs, nullspace)
 from .poly import Poly, affine_images, complex_roots, rational_roots
 from .scalars import Mode, Scalar, format_scalar, nearly_equal, sort_key
 
@@ -338,7 +342,7 @@ def _is_nearly_rational(x: float) -> Optional[Fraction]:
 
 # float eigenvalue products this close (relative) collide
 _COLLISION_TOL = 1e-9
-# how close to 1 a float eigenvalue must be to count as the eigenvalue 1
+# float eigenvalues (and 1) this close (relative) count as one value
 _FLOAT_ROOT_TOL = 1e-6
 # the root-of-unity advisory tries orders 1.._UNITY_BOUND
 _UNITY_BOUND = 24
@@ -384,16 +388,16 @@ def check_shift_admissible(system: PolySystem, max_power: int,
         for (mono_a, val_a), (mono_b, val_b) in zip(by_value, by_value[1:]):
             if nearly_equal(val_a, val_b, _COLLISION_TOL):
                 collisions.append((mono_a, mono_b, val_a))
-        # a numerical fixed point is only as accurate as its root, and at a
-        # double root that is about the square root of the residual. So an
-        # eigenvalue within root accuracy of 1 collides with the constant
-        # monomial's product 1, as it does in exact mode; the scan above
-        # already names one within _COLLISION_TOL
-        constant, one = products[0]
-        for mono, value in products:
-            if (sum(mono) == 1 and not nearly_equal(value, one, _COLLISION_TOL)
-                    and nearly_equal(value, one, _FLOAT_ROOT_TOL)):
-                collisions.append((constant, mono, value))
+        # a numerical root is only as accurate as its polynomial allows, and
+        # at a double root that is about the square root of the residual (a
+        # fixed point's root, or an eigenvalue's). So two of 1 and the
+        # eigenvalues within root accuracy collide, as they do in exact
+        # mode; the scan above already names a pair within _COLLISION_TOL
+        for (mono_a, val_a), (mono_b, val_b) in itertools.combinations(
+                products[:system.k + 1], 2):
+            if (not nearly_equal(val_a, val_b, _COLLISION_TOL)
+                    and nearly_equal(val_a, val_b, _FLOAT_ROOT_TOL)):
+                collisions.append((mono_a, mono_b, val_b))
     advisories: List[str] = []
     if system.k == 1:
         lam = eigs[0]
@@ -447,75 +451,6 @@ def _two_variable_all_orders_note(eigs: Sequence[Scalar]) -> List[str]:
 # -- triangularization ---------------------------------------------------------
 
 
-def _householder_step(matrix: List[List[complex]], qacc: List[List[complex]],
-                      offset: int, target: complex) -> None:
-    """Reflect so that the eigenvector of the trailing block for `target`
-    lands on the block's first axis; fold the reflector into qacc."""
-    n = len(matrix)
-    size = n - offset
-    block = [[matrix[offset + r][offset + c] - (target if r == c else 0)
-              for c in range(size)] for r in range(size)]
-    v = _float_nullvector(block)
-    norm = math.sqrt(sum(abs(x) ** 2 for x in v))
-    if norm == 0:
-        raise TriangularizationError("failed to find a float eigenvector")
-    v = [x / norm for x in v]
-    sign = v[0] / abs(v[0]) if abs(v[0]) > 1e-14 else 1.0
-    w = list(v)
-    w[0] = w[0] + sign
-    wnorm2 = sum(abs(x) ** 2 for x in w)
-    if wnorm2 < 1e-28:
-        return  # already aligned
-    h = [[(1 if r == c else 0) - 2 * w[r] * w[c].conjugate() / wnorm2
-          for c in range(size)] for r in range(size)]
-    full = identity(n, Mode.FLOAT)
-    for r in range(size):
-        for c in range(size):
-            full[offset + r][offset + c] = h[r][c]
-    updated = mat_mul(mat_mul(full, matrix), full)  # reflector is its own inverse
-    for r in range(n):
-        matrix[r] = updated[r]
-    new_q = mat_mul(full, qacc)
-    for r in range(n):
-        qacc[r] = new_q[r]
-
-
-def _float_nullvector(matrix: List[List[complex]]) -> List[complex]:
-    """Approximate null vector of a nearly singular complex matrix."""
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    scale = max(max_abs(a), 1.0)
-    used_cols: List[int] = []
-    row = 0
-    for col in range(n):
-        best_row, best = None, 1e-10 * scale
-        for r in range(row, n):
-            if abs(a[r][col]) > best:
-                best, best_row = abs(a[r][col]), r
-        if best_row is None:
-            continue
-        a[row], a[best_row] = a[best_row], a[row]
-        for r in range(row + 1, n):
-            factor = a[r][col] / a[row][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        used_cols.append(col)
-        row += 1
-    free_cols = [c for c in range(n) if c not in used_cols]
-    if not free_cols:
-        free_cols = [used_cols.pop()]
-        row -= 1
-    free = free_cols[0]
-    x: List[complex] = [complex(0)] * n
-    x[free] = complex(1)
-    for r in range(row - 1, -1, -1):
-        col = used_cols[r]
-        acc = complex(0)
-        for c in range(col + 1, n):
-            acc += a[r][c] * x[c]
-        x[col] = -acc / a[r][col]
-    return x
-
-
 # float linear entries below the diagonal up to this, relative to the
 # largest entry, are dropped as residue
 _SUBDIAGONAL_TOL = 1e-10
@@ -527,57 +462,51 @@ def triangularize_linear(system: PolySystem,
     and return the rewritten system along with the transform.
 
     An already-triangular linear part returns the system unchanged with
-    the identity transform. Exact mode diagonalizes via rational
-    eigenvectors (first nonzero entry scaled to 1, eigenvalues ascending)
-    and fails with a structured error when the spectrum is irrational or
-    defective. Float mode uses unitary reflections to deflate one
-    eigenvalue at a time, eigenvalues ordered by magnitude then phase.
+    the identity transform. Otherwise the linear part is diagonalized by
+    its eigenvectors, one nullspace per distinct eigenvalue (float
+    eigenvalues within _FLOAT_ROOT_TOL count as one), each first nonzero
+    entry scaled to 1. Exact eigenvalues are taken ascending, float ones
+    by magnitude then phase. An irrational exact spectrum, a defective
+    linear part, or a float result whose subdiagonal keeps more than
+    residue raises TriangularizationError.
     """
     system.require_depth_one("triangularization")
-    k = system.k
+    k, mode = system.k, system.mode
     linear = system.linear_matrix()
-    if system.mode is Mode.EXACT:
-        if is_upper_triangular(linear):
-            return system, TransformParams.identity(k, system.mode)
-        eigs = _eigenvalues_with_multiplicity(linear, Mode.EXACT)
-        columns: List[List[Scalar]] = []
-        seen: List[Fraction] = []
-        for lam in eigs:
-            if lam in seen:
-                continue
-            seen.append(lam)
-            multiplicity = eigs.count(lam)
-            shifted = [[linear[r][c] - (lam if r == c else 0) for c in range(k)]
-                       for r in range(k)]
-            space = nullspace(shifted)
-            if len(space) < multiplicity:
-                raise TriangularizationError(
-                    f"the linear part is defective at eigenvalue "
-                    f"{format_scalar(lam)}; no eigenvector basis exists")
-            for vec in space[:multiplicity]:
-                lead = next(x for x in vec if x != 0)
-                columns.append([x / lead for x in vec])
-        modal = [[columns[c][r] for c in range(k)] for r in range(k)]
-        matrix = mat_inverse(modal, Mode.EXACT)
-        params = TransformParams.create(matrix, [Fraction(0)] * k, Mode.EXACT)
-        return apply_affine(system, params), params
-    # float mode
     scale = max(max_abs(linear), 1.0)
-    if is_upper_triangular(linear, 1e-12):
-        cleaned = _zero_subdiagonal_linear(system, _SUBDIAGONAL_TOL * scale)
-        return cleaned, TransformParams.identity(k, system.mode)
-    eigs = complex_roots(char_poly(linear, Mode.FLOAT), seed=seed)
-    work = [list(row) for row in linear]
-    qacc = identity(k, Mode.FLOAT)
-    for step, lam in enumerate(eigs[:-1]):
-        _householder_step(work, qacc, step, lam)
-    residue = max((abs(work[r][c]) for r in range(k) for c in range(r)),
-                  default=0.0)
+    if is_upper_triangular(linear, 0.0 if mode is Mode.EXACT else 1e-12):
+        if mode is Mode.FLOAT:
+            system = _zero_subdiagonal_linear(system, _SUBDIAGONAL_TOL * scale)
+        return system, TransformParams.identity(k, mode)
+    eigs = _eigenvalues_with_multiplicity(linear, mode, seed=seed)
+    columns: List[List[Scalar]] = []
+    seen: List[Scalar] = []
+    for lam in eigs:
+        if any(nearly_equal(lam, x, _FLOAT_ROOT_TOL) for x in seen):
+            continue
+        seen.append(lam)
+        multiplicity = sum(nearly_equal(lam, x, _FLOAT_ROOT_TOL) for x in eigs)
+        shifted = [[linear[r][c] - (lam if r == c else 0) for c in range(k)]
+                   for r in range(k)]
+        space = nullspace(shifted, mode)
+        if len(space) < multiplicity:
+            raise TriangularizationError(
+                f"the linear part is defective at eigenvalue "
+                f"{format_scalar(lam)}; no eigenvector basis exists")
+        for vec in space[:multiplicity]:
+            lead = next(x for x in vec if x != 0)
+            columns.append([x / lead for x in vec])
+    modal = [[columns[c][r] for c in range(k)] for r in range(k)]
+    params = TransformParams.create(mat_inverse(modal, mode), [mode.zero] * k,
+                                    mode)
+    transformed = apply_affine(system, params)
+    if mode is Mode.EXACT:
+        return transformed, params
+    residue = max((abs(x) for r, row in enumerate(transformed.linear_matrix())
+                   for x in row[:r]), default=0.0)
     if residue > 1e-8 * scale:
         raise TriangularizationError(
             f"float triangularization did not converge (residue {residue:.2e})")
-    params = TransformParams.create(qacc, [complex(0)] * k, Mode.FLOAT)
-    transformed = apply_affine(system, params)
     return _zero_subdiagonal_linear(transformed, _SUBDIAGONAL_TOL * scale), params
 
 

@@ -25,7 +25,8 @@ DELETED = (
     "kron_index_monomial", "power", "determinant", "copy_matrix",
     "sparse_is_upper_triangular", "coefficient", "truncated", "max_degree",
     "size", "_wrap", "collision_tol", "unity_bound", "shift_seeds",
-    "ExpSumAccumulator", "_base_rank",
+    "ExpSumAccumulator", "_base_rank", "_householder_step", "_float_nullvector",
+    "total_degree",
 )
 
 OWNERS = (

@@ -369,6 +369,16 @@ def test_unshiftable_float_system_suggests_shift_or_lower_order(tmp_path,
     assert main(["solve", path, "--order", "1", "--mode", "float"]) == 0
 
 
+def test_exact_colliding_products_suggest_lower_order(tmp_path, capsys):
+    # every candidate was compared and collided, and float mode refuses
+    # the same system, so switching modes is no remedy
+    path = write(tmp_path, "vars: u\nu[i] = -1*u[i-1]\n")
+    assert main(["solve", path, "--order", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "supply --shift or a lower --order" in err
+    assert "--mode float" not in err
+
+
 def test_float_double_root_is_refused_like_exact(tmp_path, capsys):
     # u + u^2 = u has a double root at 0 with eigenvalue 1; Newton lands
     # about 1e-8 off it, where the eigenvalue is 1 - 7e-8
@@ -382,6 +392,40 @@ def test_float_double_root_is_refused_like_exact(tmp_path, capsys):
 
 
 DOUBLE_ROOT = "vars: u\nu[i] = u[i-1] + u[i-1]^2\n"
+# at the origin the linear part [[3, 1], [-1, 1]] is a Jordan block: 2 is
+# a double eigenvalue with a single eigenvector
+JORDAN = ("vars: u, v\n"
+          "u[i] = 3*u[i-1] + v[i-1] + u[i-1]^2\n"
+          "v[i] = -1*u[i-1] + v[i-1] + v[i-1]^2\n")
+
+
+def test_float_double_eigenvalue_collides(tmp_path, capsys):
+    # the root finder splits the double eigenvalue by about 1e-8, more
+    # than the product tolerance; the origin is refused as in exact mode
+    path = write(tmp_path, JORDAN)
+    assert main(["transform", path, "--order", "3", "--mode", "float"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    origin = next(i for i, line in enumerate(lines)
+                  if line.startswith("  shift [0.0, 0.0]: "))
+    assert lines[origin].startswith("  shift [0.0, 0.0]: FAIL (")
+    assert lines[origin + 1].startswith("    collision: (1, 0) and (0, 1) ")
+    assert main(["verify", path, "--order", "3", "--mode", "float"]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+
+
+def test_float_defective_linear_part_exits_2(tmp_path, capsys):
+    code = main(["solve", write(tmp_path, JORDAN), "--mode", "float",
+                 "--shift", "0,0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: triangularize: the linear part is defective")
+
+
+def test_float_complex_spectrum_verifies(tmp_path, capsys):
+    path = write(tmp_path, "vars: u, v\nu[i] = 1/2*u[i-1] - v[i-1] + u[i-1]^2\n"
+                 "v[i] = u[i-1] + 1/2*v[i-1] + u[i-1]*v[i-1]\n")
+    assert main(["verify", path, "--mode", "float"]) == 0
+    assert "result: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

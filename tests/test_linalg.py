@@ -107,6 +107,14 @@ def test_nullspace_full_rank_is_empty():
     assert nullspace(frac_matrix([[1, 0], [0, 1]])) == []
 
 
+def test_float_nullspace_zeroes_residue():
+    # singular but for about 1e-13: the first entry of its null vector is
+    # residue of that size, below the pivot threshold, so it is exactly 0
+    nearly = [[2j, 1e-13 + 0j, 0j], [1 + 0j, 3e-13j, 0j], [0j, 1 + 0j, -1 + 0j]]
+    assert nullspace(nearly, Mode.FLOAT) == [[0, 1, 1]]
+    assert nullspace([[1 + 0j, 2j], [3 + 0j, 4 + 0j]], Mode.FLOAT) == []
+
+
 def test_is_upper_triangular():
     assert is_upper_triangular(frac_matrix([[1, 5], [0, 2]]))
     assert not is_upper_triangular(frac_matrix([[1, 0], [3, 2]]))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from carleman import ArityError, ZeroPolynomialError
 from carleman.poly import (
     Poly, affine_images, complex_roots, grlex_key, rational_roots,
-    total_degree, univariate_coeffs,
+    univariate_coeffs,
 )
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -77,7 +77,10 @@ def test_grlex_order_two_vars():
 
 
 def test_total_degree():
-    assert total_degree((2, 0, 3)) == 5
+    # a monomial's total degree is sum(m); grlex and Poly.degree rank by it
+    m = (2, 0, 3)
+    assert grlex_key(m)[0] == sum(m) == 5
+    assert Poly(3, {m: Fraction(1)}).degree() == sum(m)
 
 
 # -- products ------------------------------------------------------------------

@@ -248,7 +248,7 @@ def test_triangularize_rejects_defective():
         triangularize_linear(load(text))
 
 
-def test_triangularize_float_householder():
+def test_triangularize_float_eigenvectors():
     system = reduce_depth(load("vars: u\nu[i] = u[i-1] + u[i-2]\n", Mode.FLOAT))
     moved, params = triangularize_linear(system)
     lin = moved.linear_matrix()
@@ -257,6 +257,17 @@ def test_triangularize_float_householder():
     eigs = sorted(abs(lin[j][j]) for j in range(2))
     assert abs(eigs[0] - (phi - 1)) < 1e-9
     assert abs(eigs[1] - phi) < 1e-9
+
+
+def test_triangularize_float_lower_triangular_part():
+    # the eigenvector for -1/3 has a first entry of float residue, which
+    # must come back as zero rather than be scaled up to a huge basis
+    system = load("vars: u, v\nu[i] = -2/3*u[i-1] + u[i-1]^2\n"
+                  "v[i] = 3/2*u[i-1] - 1/3*v[i-1] + v[i-1]^2\n", Mode.FLOAT)
+    moved, params = triangularize_linear(system)
+    assert is_upper_triangular(moved.linear_matrix())
+    assert all(abs(x) <= 10 for row in params.matrix for x in row)
+    assert all(abs(x) <= 10 for row in params.matrix_inv for x in row)
 
 
 def test_triangularize_preserves_spectrum_exact():
