@@ -4,16 +4,14 @@ Subcommands: solve, matrix, verify, eval, transform. Input is a
 recurrence file in the DSL (or '-' for stdin). Exit codes: 0 success,
 1 parse error, 2 solver-stage error, 3 verification failure.
 
-The default truncation order is 6, overridable by the
-CARLEMAN_DEFAULT_ORDER environment variable; an explicit --order always
-wins. All output is deterministic for fixed input, flags, and seed.
+The default truncation order is 6. All output is deterministic for
+fixed input, flags, and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -34,28 +32,12 @@ EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
 _DEFAULT_ORDER = 6
-_ORDER_ENV = "CARLEMAN_DEFAULT_ORDER"
-
-
-def _default_order() -> int:
-    raw = os.environ.get(_ORDER_ENV)
-    if raw is None:
-        return _DEFAULT_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CarlemanError(
-            f"{_ORDER_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise CarlemanError(f"{_ORDER_ENV} must be >= 1, got {value}")
-    return value
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="recurrence file in the DSL, or - for stdin")
-    sub.add_argument("--order", type=int, default=None,
-                     help=f"truncation degree (default {_DEFAULT_ORDER}, or "
-                          f"${_ORDER_ENV})")
+    sub.add_argument("--order", type=int, default=_DEFAULT_ORDER,
+                     help=f"truncation degree (default {_DEFAULT_ORDER})")
     sub.add_argument("--mode", choices=("exact", "float"), default="exact")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for float-mode root finding")
@@ -143,11 +125,10 @@ def _parse_matrix_flag(raw: Optional[str], mode: Mode):
 
 def _options_from_args(args) -> SolveOptions:
     mode = Mode(args.mode)
-    order = args.order if args.order is not None else _default_order()
-    if order < 1:
-        raise CarlemanError(f"--order must be >= 1, got {order}")
+    if args.order < 1:
+        raise CarlemanError(f"--order must be >= 1, got {args.order}")
     return SolveOptions(
-        order=order,
+        order=args.order,
         mode=mode,
         shift=_parse_shift_flag(args.shift, mode),
         matrix=_parse_matrix_flag(args.matrix_a, mode),

@@ -12,19 +12,24 @@ Right-hand sides are polynomial expressions in lagged references
 exponents are non-negative integer literals, and `/` is legal only
 inside a rational literal such as `3/4` (written without spaces).
 Decimal literals like `0.5` mean the exact decimal fraction and are
-converted per scalar mode when lowering.
+converted per scalar mode as they are read.
 
-Parsing is two-stage: parse() builds a span-carrying syntax tree and
-validates names and lags; lower() turns the tree into a PolySystem over
-the flattened lag variables (lag-1 variables first, then lag-2, and so
-on). pretty_print() renders a system back to canonical text: terms in
+parse_system() splits the text into tokens with one regular expression,
+then one recursive descent checks names and lags and builds each
+right-hand side directly as a Poly over the flattened lag variables
+(lag-1 variables first, then lag-2, and so on). The depth, and so the
+width of every Poly, is read from the tokens before the first equation.
+A lexical error anywhere is reported first; after that, the first error
+the descent reads, a float literal too large for a double included.
+pretty_print() renders a system back to canonical text: terms in
 descending total degree, ties in the monomial-basis order, coefficient
 1 omitted, exponent 1 omitted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,6 +46,14 @@ _SIMPLE_TOKENS = {
     "=": "EQUALS", ",": "COMMA", ":": "COLON",
 }
 
+# \d is a decimal digit (what Fraction reads), \w a letter, digit or '_';
+# a word starting with neither a letter nor '_' (such as '²') is refused
+_TOKEN = re.compile("|".join(
+    [r"(?P<NUMBER>\d+(?:\.\d+|/\d+)?)", r"(?P<IDENT>\w+)", r"(?P<NEWLINE>\n)",
+     r"(?P<SPACE>[ \t\r]+)"]
+    + [f"(?P<{kind}>{re.escape(ch)})" for ch, kind in _SIMPLE_TOKENS.items()]
+    + [r"(?P<OTHER>.)"]))
+
 
 @dataclass
 class Token:
@@ -48,122 +61,63 @@ class Token:
     text: str
     span: SourceSpan
     value: Optional[Fraction] = None
-    is_integer: bool = False
-
-
-def _make_span(text: str, start: int, end: int) -> SourceSpan:
-    line = text.count("\n", 0, start) + 1
-    line_start = text.rfind("\n", 0, start) + 1
-    return SourceSpan(start, end, line, start - line_start + 1)
 
 
 def _tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, lexeme = match.lastgroup, match.group()
+        start, end = match.span()
+        span = SourceSpan(start, end, line, start - line_start + 1)
+        if kind == "NEWLINE":
             if tokens and tokens[-1].kind != "NEWLINE":
-                tokens.append(Token("NEWLINE", "\n", _make_span(text, i, i + 1)))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_integer = True
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                is_integer = False
-            elif j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                is_integer = False
-            lexeme = text[i:j]
-            span = _make_span(text, i, j)
+                tokens.append(Token(kind, lexeme, span))
+            line, line_start = line + 1, end
+        elif kind == "NUMBER":
             try:
                 value = Fraction(lexeme)
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in literal {lexeme!r}", span)
-            tokens.append(Token("NUMBER", lexeme, span, value,
-                                is_integer and value.denominator == 1))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], _make_span(text, i, j)))
-            i = j
-            continue
-        kind = _SIMPLE_TOKENS.get(ch)
-        if kind is None:
-            raise ParseError(f"unexpected character {ch!r}", _make_span(text, i, i + 1))
-        tokens.append(Token(kind, ch, _make_span(text, i, i + 1)))
-        i += 1
-    end_span = _make_span(text, n, n)
+            tokens.append(Token(kind, lexeme, span, value))
+        elif kind == "OTHER" or (kind == "IDENT" and not (lexeme[0].isalpha()
+                                                          or lexeme[0] == "_")):
+            raise ParseError(f"unexpected character {lexeme[0]!r}",
+                             SourceSpan(start, start + 1, span.line, span.column))
+        elif kind != "SPACE":
+            tokens.append(Token(kind, lexeme, span))
+    end_span = SourceSpan(len(text), len(text), line, len(text) - line_start + 1)
     if tokens and tokens[-1].kind != "NEWLINE":
         tokens.append(Token("NEWLINE", "", end_span))
     tokens.append(Token("EOF", "", end_span))
     return tokens
 
 
-# -- syntax tree ------------------------------------------------------------
+def _is_uint(tok: Token) -> bool:
+    return tok.kind == "NUMBER" and tok.text.isdecimal()
 
 
-@dataclass
-class NumberNode:
-    value: Fraction
-    span: SourceSpan
+def _depth(tokens: List[Token]) -> int:
+    """The largest lag j in any `[i-j`, at least 1. On text that parses,
+    every such run is a right-side reference."""
+    return max([1] + [int(tokens[t + 3].text) for t in range(len(tokens) - 3)
+                      if tokens[t].kind == "LBRACK" and tokens[t + 1].text == "i"
+                      and tokens[t + 2].kind == "MINUS" and _is_uint(tokens[t + 3])])
 
 
-@dataclass
-class VarRefNode:
-    name: str
-    lag: int
-    span: SourceSpan
+# -- recursive descent --------------------------------------------------------
 
-
-@dataclass
-class BinaryNode:
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
-    span: SourceSpan
-
-
-@dataclass
-class PowerNode:
-    base: object
-    exponent: int
-    span: SourceSpan
-
-
-@dataclass
-class EquationNode:
-    name: str
-    name_span: SourceSpan
-    rhs: object
-
-
-@dataclass
-class SystemNode:
-    variables: List[str]
-    variable_spans: List[SourceSpan]
-    equations: List[EquationNode]
-    max_lag: int
+_DIVISION = "division is only allowed inside a rational literal like 3/4"
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    """One pass over the tokens; each expression method returns the Poly
+    it denotes, over depth * k flattened variables."""
+
+    def __init__(self, tokens: List[Token], mode: Mode):
         self.tokens = tokens
         self.pos = 0
+        self.mode = mode
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -181,13 +135,29 @@ class _Parser:
                              else f"expected {what}, found end of input", tok.span)
         return self.advance()
 
-    def skip_newlines(self) -> None:
-        while self.peek().kind == "NEWLINE":
-            self.advance()
+    def parse_system(self) -> Tuple[PolySystem, List[str]]:
+        names, name_spans = self.parse_header()
+        self.index_of = {name: l for l, name in enumerate(names)}
+        depth = _depth(self.tokens)
+        self.width = depth * len(names)
+        polys: Dict[str, Poly] = {}
+        while self.peek().kind != "EOF":
+            name_tok, poly = self.parse_equation()
+            if name_tok.text in polys:
+                raise ParseError(f"duplicate equation for {name_tok.text!r}",
+                                 name_tok.span)
+            polys[name_tok.text] = poly
+        for name, span in zip(names, name_spans):
+            if name not in polys:
+                raise ParseError(f"missing equation for declared variable {name!r}",
+                                 span)
+        system = PolySystem(k=len(names), depth=depth,
+                            polys=tuple(polys[name] for name in names),
+                            mode=self.mode)
+        return system, names
 
     # header: 'vars' ':' ident (',' ident)*
     def parse_header(self) -> Tuple[List[str], List[SourceSpan]]:
-        self.skip_newlines()
         lead = self.peek()
         if lead.kind != "IDENT" or lead.text != "vars":
             raise ParseError("expected 'vars:' header", lead.span)
@@ -210,9 +180,9 @@ class _Parser:
         self.expect("NEWLINE", "end of header line")
         return names, spans
 
-    def parse_equation(self, declared: Sequence[str]) -> EquationNode:
+    def parse_equation(self) -> Tuple[Token, Poly]:
         name_tok = self.expect("IDENT", "a variable name starting an equation")
-        if name_tok.text not in declared:
+        if name_tok.text not in self.index_of:
             raise ParseError(f"undeclared variable {name_tok.text!r}", name_tok.span)
         self.expect("LBRACK", "'[' after the variable name")
         idx_tok = self.expect("IDENT", "the recurrence index 'i'")
@@ -220,82 +190,79 @@ class _Parser:
             raise ParseError("the left side must be indexed by 'i'", idx_tok.span)
         self.expect("RBRACK", "']' closing the left side (left sides are not lagged)")
         self.expect("EQUALS", "'='")
-        rhs = self.parse_expr(declared)
-        trailing = self.peek()
-        if trailing.kind not in ("NEWLINE", "EOF"):
-            if trailing.kind == "SLASH":
-                raise NonPolynomialError(
-                    "division is only allowed inside a rational literal like 3/4",
-                    trailing.span)
+        rhs = self.parse_expr()
+        if self.peek().kind not in ("NEWLINE", "EOF"):
             raise ParseError(
                 "expected '+', '-', or end of equation "
-                "(multiplication must use an explicit '*')", trailing.span)
-        self.skip_newlines()
-        return EquationNode(name_tok.text, name_tok.span, rhs)
+                "(multiplication must use an explicit '*')", self.peek().span)
+        self.advance()
+        return name_tok, rhs
 
-    def parse_expr(self, declared: Sequence[str]):
-        node = self.parse_term(declared)
+    def parse_expr(self) -> Poly:
+        poly = self.parse_term()
         while self.peek().kind in ("PLUS", "MINUS"):
-            op_tok = self.advance()
-            right = self.parse_term(declared)
-            node = BinaryNode("+" if op_tok.kind == "PLUS" else "-",
-                              node, right, op_tok.span)
-        return node
+            plus = self.advance().kind == "PLUS"
+            right = self.parse_term()
+            poly = poly + right if plus else poly - right
+        return poly
 
-    def parse_term(self, declared: Sequence[str]):
-        node = self.parse_factor(declared)
+    def parse_term(self) -> Poly:
+        poly = self.parse_factor()
         while True:
             tok = self.peek()
             if tok.kind == "STAR":
                 self.advance()
-                right = self.parse_factor(declared)
-                node = BinaryNode("*", node, right, tok.span)
+                poly = poly.mul_truncated(self.parse_factor())
             elif tok.kind == "SLASH":
-                raise NonPolynomialError(
-                    "division is only allowed inside a rational literal like 3/4",
-                    tok.span)
+                raise NonPolynomialError(_DIVISION, tok.span)
             else:
-                return node
+                return poly
 
-    def parse_factor(self, declared: Sequence[str]):
-        node = self.parse_base(declared)
-        if self.peek().kind == "CARET":
-            caret = self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind != "NUMBER" or not exp_tok.is_integer or exp_tok.value < 0:
-                raise ParseError("exponent must be a non-negative integer literal",
-                                 exp_tok.span if exp_tok.kind != "EOF" else caret.span)
-            self.advance()
-            return PowerNode(node, int(exp_tok.value), caret.span)
-        return node
+    def parse_factor(self) -> Poly:
+        poly = self.parse_base()
+        if self.peek().kind != "CARET":
+            return poly
+        caret = self.advance()
+        exp_tok = self.peek()
+        if not _is_uint(exp_tok):
+            raise ParseError("exponent must be a non-negative integer literal",
+                             exp_tok.span if exp_tok.kind != "EOF" else caret.span)
+        self.advance()
+        return poly.pow_truncated(int(exp_tok.text)).scaled(self.mode.one)
 
-    def parse_base(self, declared: Sequence[str]):
+    def parse_base(self) -> Poly:
         tok = self.peek()
         if tok.kind in ("PLUS", "MINUS") and self.peek(1).kind == "NUMBER":
-            sign_tok = self.advance()
-            num_tok = self.advance()
-            value = num_tok.value if sign_tok.kind == "PLUS" else -num_tok.value
-            return NumberNode(value, sign_tok.span)
+            self.advance()
+            value = self.advance().value
+            return self.constant(value if tok.kind == "PLUS" else -value, tok.span)
         if tok.kind == "NUMBER":
             self.advance()
-            return NumberNode(tok.value, tok.span)
+            return self.constant(tok.value, tok.span)
         if tok.kind == "IDENT":
-            return self.parse_var_ref(declared)
+            return self.parse_var_ref()
         if tok.kind == "LPAREN":
             self.advance()
-            node = self.parse_expr(declared)
+            poly = self.parse_expr()
             self.expect("RPAREN", "')'")
-            return node
+            return poly
         if tok.kind == "SLASH":
-            raise NonPolynomialError(
-                "division is only allowed inside a rational literal like 3/4", tok.span)
+            raise NonPolynomialError(_DIVISION, tok.span)
         found = f", found {tok.text!r}" if tok.text else ""
         raise ParseError(f"expected a number, variable reference, or '('{found}",
                          tok.span)
 
-    def parse_var_ref(self, declared: Sequence[str]) -> VarRefNode:
+    def constant(self, value: Fraction, span: SourceSpan) -> Poly:
+        """A literal in this mode; one too large for a double is refused."""
+        try:
+            scalar = self.mode.from_fraction(value)
+        except CarlemanError as exc:
+            raise ParseError(str(exc), span) from exc
+        return Poly.constant(self.width, scalar)
+
+    def parse_var_ref(self) -> Poly:
         name_tok = self.advance()
-        if name_tok.text not in declared:
+        if name_tok.text not in self.index_of:
             raise ParseError(f"undeclared variable {name_tok.text!r}", name_tok.span)
         self.expect("LBRACK", "'[' after the variable name")
         idx_tok = self.expect("IDENT", "the recurrence index 'i'")
@@ -310,95 +277,23 @@ class _Parser:
             raise ParseError("expected '-' introducing the lag", nxt.span)
         self.advance()
         lag_tok = self.peek()
-        if lag_tok.kind != "NUMBER" or not lag_tok.is_integer:
+        if not _is_uint(lag_tok):
             raise ParseError("lag must be an integer literal", lag_tok.span)
         self.advance()
-        lag = int(lag_tok.value)
+        lag = int(lag_tok.text)
         if lag < 1:
             raise ParseError(f"lag must be at least 1, got {lag}", lag_tok.span)
-        close = self.expect("RBRACK", "']'")
-        span = SourceSpan(name_tok.span.start, close.span.end,
-                          name_tok.span.line, name_tok.span.column)
-        return VarRefNode(name_tok.text, lag, span)
-
-
-def parse(text: str) -> SystemNode:
-    """Parse DSL text into a validated syntax tree."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
-    names, name_spans = parser.parse_header()
-    equations: Dict[str, EquationNode] = {}
-    parser.skip_newlines()
-    while parser.peek().kind != "EOF":
-        eq = parser.parse_equation(names)
-        if eq.name in equations:
-            raise ParseError(f"duplicate equation for {eq.name!r}", eq.name_span)
-        equations[eq.name] = eq
-        parser.skip_newlines()
-    for name, span in zip(names, name_spans):
-        if name not in equations:
-            raise ParseError(f"missing equation for declared variable {name!r}", span)
-    max_lag = 1
-    ordered = [equations[name] for name in names]
-
-    def walk(node) -> int:
-        if isinstance(node, VarRefNode):
-            return node.lag
-        if isinstance(node, BinaryNode):
-            return max(walk(node.left), walk(node.right))
-        if isinstance(node, PowerNode):
-            return walk(node.base)
-        return 1
-
-    for eq in ordered:
-        max_lag = max(max_lag, walk(eq.rhs))
-    return SystemNode(names, name_spans, ordered, max_lag)
-
-
-# -- lowering ----------------------------------------------------------------
-
-
-def lower(tree: SystemNode, mode: Mode) -> PolySystem:
-    """Turn a syntax tree into a PolySystem over the flattened lag variables.
-
-    Variable (name index l, lag j) becomes flattened index (j-1)*k + l, so
-    all lag-1 variables come first. Literals are converted per mode here;
-    a literal too large for a double raises a ParseError in Float mode.
-    """
-    k = len(tree.variables)
-    depth = tree.max_lag
-    width = depth * k
-    index_of = {name: l for l, name in enumerate(tree.variables)}
-
-    def lower_expr(node) -> Poly:
-        if isinstance(node, NumberNode):
-            try:
-                value = mode.from_fraction(node.value)
-            except CarlemanError as exc:
-                raise ParseError(str(exc), node.span) from exc
-            return Poly.constant(width, value)
-        if isinstance(node, VarRefNode):
-            flat = (node.lag - 1) * k + index_of[node.name]
-            return Poly.variable(width, flat).scaled(mode.one)
-        if isinstance(node, PowerNode):
-            return lower_expr(node.base).pow_truncated(node.exponent).scaled(mode.one)
-        if isinstance(node, BinaryNode):
-            left, right = lower_expr(node.left), lower_expr(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            return left.mul_truncated(right)
-        raise AssertionError(f"unknown node {node!r}")
-
-    polys = tuple(lower_expr(eq.rhs) for eq in tree.equations)
-    return PolySystem(k=k, depth=depth, polys=polys, mode=mode)
+        self.expect("RBRACK", "']'")
+        flat = (lag - 1) * len(self.index_of) + self.index_of[name_tok.text]
+        return Poly.variable(self.width, flat).scaled(self.mode.one)
 
 
 def parse_system(text: str, mode: Mode) -> Tuple[PolySystem, List[str]]:
-    """Convenience wrapper: parse then lower, returning names as well."""
-    tree = parse(text)
-    return lower(tree, mode), list(tree.variables)
+    """Parse DSL text into a PolySystem over the flattened lag variables,
+    returning the declared names as well. Variable (name index l, lag j)
+    becomes flattened index (j-1)*k + l. Literals are converted per mode;
+    a literal too large for a double raises a ParseError in Float mode."""
+    return _Parser(_tokenize(text), mode).parse_system()
 
 
 # -- rendering ----------------------------------------------------------------
@@ -452,8 +347,8 @@ def _is_negative(coeff: Scalar) -> bool:
 
 
 def pretty_print(system: PolySystem, names: Optional[Sequence[str]] = None) -> str:
-    """Render a system to canonical DSL text (round-trips through parse
-    and lower for exact and real-decimal coefficients)."""
+    """Render a system to canonical DSL text (round-trips through
+    parse_system for exact and real-decimal coefficients)."""
     k = system.k
     if names is None:
         names = ["u"] if k == 1 else [f"u{l + 1}" for l in range(k)]

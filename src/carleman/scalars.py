@@ -34,12 +34,12 @@ class Mode(Enum):
         """Convert an exact literal into this mode's scalar type."""
         if self is Mode.EXACT:
             return Fraction(value)
-        out = complex(value.numerator / value.denominator
-                      if abs(value.numerator) < 2 ** 52 and value.denominator < 2 ** 52
-                      else float(value))
-        if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-            raise CarlemanError(f"coefficient {value} overflows double precision")
-        return out
+        try:
+            # integer true division rounds once, like float(value)
+            return complex(value.numerator / value.denominator)
+        except OverflowError:
+            raise CarlemanError(
+                f"coefficient {value} overflows double precision") from None
 
     def matches(self, value: Scalar) -> bool:
         if self is Mode.EXACT:
@@ -71,14 +71,15 @@ def nearly_equal(a: Scalar, b: Scalar, tol: float = 1e-9) -> bool:
 
 def format_scalar(value: Scalar) -> str:
     """Human-readable rendering: 'p/q' or integer for exact values,
-    repr floats otherwise (real part alone when imag is zero)."""
+    repr floats otherwise (real part alone when imag is zero). Adding
+    0.0 turns a negative zero part into 0, so no '-0' is printed."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     if value.imag == 0:
-        return repr(value.real)
-    return repr(value)
+        return repr(value.real + 0.0)
+    return repr(complex(value.real + 0.0, value.imag + 0.0))
 
 
 def scalar_to_json(value: Scalar):

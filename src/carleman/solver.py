@@ -467,8 +467,7 @@ def resolve_transform(system: PolySystem, opts: SolveOptions,
             f"(equation {bad[0]}); the offset is not a fixed point")
 
     transformed, basis_params = _resolve_basis(shifted, opts)
-    combined = TransformParams.create(
-        [list(r) for r in basis_params.matrix], offset, mode)
+    combined = dataclasses.replace(basis_params, offset=tuple(offset))
     return reduced, transformed, combined
 
 

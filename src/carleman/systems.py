@@ -116,7 +116,8 @@ class TransformParams:
 
     @classmethod
     def shift(cls, offset: Sequence[Scalar], mode: Mode) -> "TransformParams":
-        return cls.create(identity(len(offset), mode), list(offset), mode)
+        eye = tuple(tuple(row) for row in identity(len(offset), mode))
+        return cls(matrix=eye, offset=tuple(offset), matrix_inv=eye, mode=mode)
 
     @property
     def k(self) -> int:
@@ -497,8 +498,10 @@ def triangularize_linear(system: PolySystem,
             lead = next(x for x in vec if x != 0)
             columns.append([x / lead for x in vec])
     modal = [[columns[c][r] for c in range(k)] for r in range(k)]
-    params = TransformParams.create(mat_inverse(modal, mode), [mode.zero] * k,
-                                    mode)
+    params = TransformParams(
+        matrix=tuple(tuple(row) for row in mat_inverse(modal, mode)),
+        offset=(mode.zero,) * k, matrix_inv=tuple(tuple(row) for row in modal),
+        mode=mode)
     transformed = apply_affine(system, params)
     if mode is Mode.EXACT:
         return transformed, params

@@ -10,6 +10,7 @@ import carleman.cli
 import carleman.embedding
 import carleman.errors
 import carleman.linalg
+import carleman.parser
 import carleman.poly
 import carleman.scalars
 import carleman.solver
@@ -26,12 +27,15 @@ DELETED = (
     "sparse_is_upper_triangular", "coefficient", "truncated", "max_degree",
     "size", "_wrap", "collision_tol", "unity_bound", "shift_seeds",
     "ExpSumAccumulator", "_base_rank", "_householder_step", "_float_nullvector",
-    "total_degree",
+    "total_degree", "parse", "lower", "SystemNode", "EquationNode",
+    "NumberNode", "VarRefNode", "BinaryNode", "PowerNode", "walk",
+    "_default_order", "_ORDER_ENV",
 )
 
 OWNERS = (
-    carleman, carleman.embedding, carleman.linalg, carleman.poly,
-    carleman.scalars, carleman.solver, carleman.systems, carleman.triangular,
+    carleman, carleman.cli, carleman.embedding, carleman.linalg,
+    carleman.parser, carleman.poly, carleman.scalars, carleman.solver,
+    carleman.systems, carleman.triangular,
     carleman.embedding.CarlemanMatrix, carleman.poly.Poly,
     carleman.solver.SolveOptions, carleman.systems.PolySystem,
     carleman.systems.TransformParams,

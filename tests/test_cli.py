@@ -320,6 +320,13 @@ def test_parse_error_exits_1(tmp_path, capsys):
     assert err.startswith("parse error: line 2, column 8")
 
 
+def test_digit_like_character_exits_1(tmp_path, capsys):
+    code = main(["solve", write(tmp_path, "vars: u\nu[i] = 2*u[i-1]²\n")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 2, column 16: unexpected character '²'")
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "absent.rec")])
     assert code == 1
@@ -468,6 +475,12 @@ def test_transform_with_pinned_shift_lists_refused_candidates(tmp_path,
     assert "chosen shift: [0]" in out
 
 
+def test_order_defaults_to_six(tmp_path, capsys):
+    code = main(["solve", write(tmp_path, LOGISTIC)])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("order: 6\n")
+
+
 def test_order_zero_rejected(tmp_path, capsys):
     code = main(["solve", write(tmp_path, LOGISTIC), "--order", "0"])
     assert code == 2
@@ -488,27 +501,6 @@ def test_unknown_flag_is_rejected(tmp_path, capsys):
 
 
 # -- configuration plumbing --------------------------------------------------
-
-
-def test_env_var_sets_default_order(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CARLEMAN_DEFAULT_ORDER", "2")
-    code = main(["solve", write(tmp_path, LOGISTIC)])
-    assert code == 0
-    assert capsys.readouterr().out.startswith("order: 2\n")
-
-
-def test_order_flag_beats_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CARLEMAN_DEFAULT_ORDER", "2")
-    code = main(["solve", write(tmp_path, LOGISTIC), "--order", "3"])
-    assert code == 0
-    assert capsys.readouterr().out.startswith("order: 3\n")
-
-
-def test_invalid_env_order_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CARLEMAN_DEFAULT_ORDER", "many")
-    code = main(["solve", write(tmp_path, LOGISTIC)])
-    assert code == 2
-    assert "CARLEMAN_DEFAULT_ORDER" in capsys.readouterr().err
 
 
 def test_stdin_input(capsys, monkeypatch):

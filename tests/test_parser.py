@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carleman import NonPolynomialError, ParseError
-from carleman.parser import parse, parse_system, pretty_print
+from carleman.parser import parse_system, pretty_print
 from carleman.scalars import Mode
 
 from conftest import random_dsl_system
@@ -79,6 +79,53 @@ def test_float_mode_lowering():
     assert system.polys[0].terms == {(1,): complex(2), (2,): complex(-2)}
 
 
+def test_float_lowering_golden():
+    # each Poly operation runs in the order the text gives it, so every
+    # float repr is fixed; commuting a product, expanding ^3 as repeated
+    # products or adding a negated term instead of subtracting changes some
+    text = ("vars: u, v\n"
+            "u[i] = (0.1*u[i-1] + 1/3*v[i-2] + 0.25)^3"
+            " - 0.7*(0.3*v[i-1] + 1/3)*(0.6*u[i-2] - 0.1)\n"
+            "v[i] = (0.25 + 1/3*u[i-2] - 0.1*v[i-1])^3*(0.3 + 0.7*u[i-1]) - 2.5\n")
+    system, _ = parse_system(text, Mode.FLOAT)
+    assert system.depth == 2
+    assert [[(mono, repr(c)) for mono, c in p.terms.items()]
+            for p in system.polys] == [
+        [((0, 0, 0, 0), "(0.03895833333333333+0j)"),
+         ((1, 0, 0, 0), "(0.018750000000000003+0j)"),
+         ((0, 0, 0, 1), "(0.0625+0j)"),
+         ((2, 0, 0, 0), "(0.0075000000000000015+0j)"),
+         ((1, 0, 0, 1), "(0.05+0j)"),
+         ((0, 0, 0, 2), "(0.08333333333333333+0j)"),
+         ((3, 0, 0, 0), "(0.0010000000000000002+0j)"),
+         ((2, 0, 0, 1), "(0.010000000000000002+0j)"),
+         ((1, 0, 0, 2), "(0.03333333333333333+0j)"),
+         ((0, 0, 0, 3), "(0.037037037037037035+0j)"),
+         ((0, 0, 1, 0), "(-0.13999999999999999+0j)"),
+         ((0, 1, 0, 0), "(0.021+0j)"),
+         ((0, 1, 1, 0), "(-0.126+0j)")],
+        [((0, 0, 0, 0), "(-2.4953125+0j)"),
+         ((0, 0, 1, 0), "(0.01875+0j)"),
+         ((0, 1, 0, 0), "(-0.005625000000000001+0j)"),
+         ((0, 0, 2, 0), "(0.024999999999999998+0j)"),
+         ((0, 1, 1, 0), "(-0.015+0j)"),
+         ((0, 2, 0, 0), "(0.0022500000000000003+0j)"),
+         ((0, 0, 3, 0), "(0.01111111111111111+0j)"),
+         ((0, 1, 2, 0), "(-0.01+0j)"),
+         ((0, 2, 1, 0), "(0.0030000000000000005+0j)"),
+         ((0, 3, 0, 0), "(-0.0003000000000000001+0j)"),
+         ((1, 0, 0, 0), "(0.0109375+0j)"),
+         ((1, 0, 1, 0), "(0.04375+0j)"),
+         ((1, 1, 0, 0), "(-0.013125000000000001+0j)"),
+         ((1, 0, 2, 0), "(0.05833333333333333+0j)"),
+         ((1, 1, 1, 0), "(-0.034999999999999996+0j)"),
+         ((1, 2, 0, 0), "(0.00525+0j)"),
+         ((1, 0, 3, 0), "(0.02592592592592592+0j)"),
+         ((1, 1, 2, 0), "(-0.02333333333333333+0j)"),
+         ((1, 2, 1, 0), "(0.007000000000000001+0j)"),
+         ((1, 3, 0, 0), "(-0.0007000000000000001+0j)")]]
+
+
 def test_leading_signed_literal():
     system, _ = parse_system("vars: u\nu[i] = -4 - u[i-1]\n", Mode.EXACT)
     assert system.polys[0].terms == {(0,): F(-4), (1,): F(-1)}
@@ -95,55 +142,55 @@ def span_of(excinfo):
 
 def test_missing_header():
     with pytest.raises(ParseError) as err:
-        parse("u[i] = 1\n")
+        parse_system("u[i] = 1\n", Mode.EXACT)
     assert "vars" in str(err.value)
     assert span_of(err).line == 1
 
 
 def test_undeclared_variable_span():
     with pytest.raises(ParseError) as err:
-        parse("vars: u\nu[i] = w[i-1]\n")
+        parse_system("vars: u\nu[i] = w[i-1]\n", Mode.EXACT)
     span = span_of(err)
     assert span.line == 2 and span.column == 8
 
 
 def test_lag_zero_rejected():
     with pytest.raises(ParseError) as err:
-        parse("vars: u\nu[i] = u[i-0]\n")
+        parse_system("vars: u\nu[i] = u[i-0]\n", Mode.EXACT)
     assert "lag" in str(err.value)
     assert span_of(err).line == 2
 
 
 def test_unlagged_reference_rejected():
     with pytest.raises(ParseError) as err:
-        parse("vars: u\nu[i] = u[i]\n")
+        parse_system("vars: u\nu[i] = u[i]\n", Mode.EXACT)
     assert "lag" in str(err.value)
 
 
 def test_non_integer_exponent():
     with pytest.raises(ParseError) as err:
-        parse("vars: u\nu[i] = u[i-1]^(3/2)\n")
+        parse_system("vars: u\nu[i] = u[i-1]^(3/2)\n", Mode.EXACT)
     assert "exponent" in str(err.value)
     assert span_of(err).line == 2
 
 
 def test_duplicate_equation():
     with pytest.raises(ParseError) as err:
-        parse("vars: u\nu[i] = 1\nu[i] = 2\n")
+        parse_system("vars: u\nu[i] = 1\nu[i] = 2\n", Mode.EXACT)
     assert "duplicate" in str(err.value)
     assert span_of(err).line == 3
 
 
 def test_missing_equation():
     with pytest.raises(ParseError) as err:
-        parse("vars: u, v\nu[i] = v[i-1]\n")
+        parse_system("vars: u, v\nu[i] = v[i-1]\n", Mode.EXACT)
     assert "missing equation" in str(err.value)
     assert span_of(err).line == 1
 
 
 def test_division_is_non_polynomial():
     with pytest.raises(NonPolynomialError) as err:
-        parse("vars: u, v\nu[i] = u[i-1]/v[i-1]\nv[i] = 1\n")
+        parse_system("vars: u, v\nu[i] = u[i-1]/v[i-1]\nv[i] = 1\n", Mode.EXACT)
     assert "rational literal" in str(err.value)
     assert span_of(err).line == 2
 
@@ -151,36 +198,57 @@ def test_division_is_non_polynomial():
 def test_literal_slash_needs_digits():
     # u[i-1]/2 is division, not a literal: the slash does not join digits
     with pytest.raises(NonPolynomialError):
-        parse("vars: u\nu[i] = u[i-1]/2\n")
+        parse_system("vars: u\nu[i] = u[i-1]/2\n", Mode.EXACT)
 
 
 def test_reserved_index_name():
     with pytest.raises(ParseError) as err:
-        parse("vars: i\ni[i] = 1\n")
+        parse_system("vars: i\ni[i] = 1\n", Mode.EXACT)
     assert "reserved" in str(err.value)
 
 
 def test_duplicate_declaration():
     with pytest.raises(ParseError) as err:
-        parse("vars: u, u\nu[i] = 1\n")
+        parse_system("vars: u, u\nu[i] = 1\n", Mode.EXACT)
     assert "declared twice" in str(err.value)
 
 
 def test_implicit_multiplication_rejected():
     with pytest.raises(ParseError) as err:
-        parse("vars: u\nu[i] = 2 u[i-1]\n")
+        parse_system("vars: u\nu[i] = 2 u[i-1]\n", Mode.EXACT)
     assert "explicit '*'" in str(err.value)
 
 
 def test_zero_denominator_literal():
     with pytest.raises(ParseError):
-        parse("vars: u\nu[i] = 1/0\n")
+        parse_system("vars: u\nu[i] = 1/0\n", Mode.EXACT)
+
+
+def test_digit_like_character_is_unexpected():
+    # '²' passes str.isdigit() but is not a decimal digit Fraction reads
+    with pytest.raises(ParseError) as err:
+        parse_system("vars: u\nu[i] = 2*u[i-1]²\n", Mode.EXACT)
+    assert str(err.value) == "line 2, column 16: unexpected character '²'"
+    assert (span_of(err).start, span_of(err).end) == (23, 24)
+
+
+def test_float_literal_too_large_for_a_double():
+    literal = "9" * 400
+    text = f"vars: u\nu[i] = 2*u[i-1] + {literal}\n"
+    with pytest.raises(ParseError) as err:
+        parse_system(text, Mode.FLOAT)
+    assert "overflows double precision" in str(err.value)
+    span = span_of(err)
+    assert text[span.start:span.end] == literal
+    assert (span.line, span.column) == (2, 19)
+    system, _ = parse_system(text, Mode.EXACT)
+    assert system.polys[0].constant_term() == int(literal)
 
 
 def test_spans_carry_offsets():
     text = "vars: u\nu[i] = u[i-1]^x\n"
     with pytest.raises(ParseError) as err:
-        parse(text)
+        parse_system(text, Mode.EXACT)
     span = span_of(err)
     assert 0 <= span.start <= span.end <= len(text)
 

@@ -64,6 +64,14 @@ def test_format_scalar():
     assert format_scalar(complex(1, -1)) == "(1-1j)"
 
 
+def test_format_scalar_prints_no_negative_zero():
+    assert format_scalar(complex(-0.0, 0.5)) == "0.5j"
+    assert format_scalar(complex(-0.0, 0)) == "0.0"
+    assert format_scalar(complex(0.5, -0.0)) == "0.5"
+    # JSON keeps the signed pair
+    assert str(scalar_to_json(complex(-0.0, 0.5))) == "[-0.0, 0.5]"
+
+
 def test_json_shapes():
     assert scalar_to_json(Fraction(-3, 2)) == "-3/2"
     assert scalar_to_json(Fraction(4)) == "4"
