@@ -79,6 +79,8 @@ def _tokenize(text: str) -> List[Token]:
                 value = Fraction(lexeme)
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in literal {lexeme!r}", span)
+            except ValueError:  # past Python's limit on integer digits
+                raise ParseError(f"literal too long ({len(lexeme)} characters)", span)
             tokens.append(Token(kind, lexeme, span, value))
         elif kind == "OTHER" or (kind == "IDENT" and not (lexeme[0].isalpha()
                                                           or lexeme[0] == "_")):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import List, Sequence, Tuple, Union
 
 from .errors import CarlemanError
 
@@ -50,6 +50,33 @@ class Mode(Enum):
 # Fraction is immutable, so every caller can share one instance
 _EXACT_ZERO = Fraction(0)
 _EXACT_ONE = Fraction(1)
+
+
+def over_lcm(pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """Integer fractions (n, d), d > 0, over their lcm L: the numerators
+    n * (L // d), in order, and L."""
+    common = math.lcm(*[d for _, d in pairs])
+    return [n * (common // d) for n, d in pairs], common
+
+
+def lcm_sum(products: Sequence[Tuple[Fraction, Fraction]]) -> Tuple[int, int]:
+    """The sum of a * b over products as (numerator, L), with no Fraction
+    arithmetic: the integer products (an * bn, ad * bd) added over_lcm."""
+    pairs = []
+    for a, b in products:
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        pairs.append((an * bn, ad * bd))
+    numerators, common = over_lcm(pairs)
+    return sum(numerators), common
+
+
+def ordered_sum(products: Sequence[Tuple[Scalar, Scalar]], zero: Scalar) -> Scalar:
+    """The sum of a * b over products, added in order onto zero."""
+    acc = zero
+    for a, b in products:
+        acc = acc + a * b
+    return acc
 
 
 def sort_key(value: Scalar):

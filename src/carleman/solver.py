@@ -43,8 +43,9 @@ from .errors import (ArityError, CarlemanError, NotShiftedError,
                      SizeLimitError, TriangularizationError)
 from .linalg import is_upper_triangular, mat_vec, max_abs
 from .poly import Monomial, Poly, affine_images, grlex_key
-from .scalars import (Mode, Scalar, format_scalar, nearly_equal,
-                      scalar_from_json, scalar_to_json, sort_key)
+from .scalars import (Mode, Scalar, format_scalar, lcm_sum, nearly_equal,
+                      ordered_sum, over_lcm, scalar_from_json, scalar_to_json,
+                      sort_key)
 from .systems import (AdmissibilityReport, PolySystem, TransformParams,
                       apply_affine, check_shift_admissible, fixed_points,
                       reduce_depth, triangularize_linear,
@@ -552,10 +553,10 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
         images = affine_images(a_rows, [-x for x in mat_vec(a_rows, offset)])
         expansions = [Poly.from_monomial(transformed.k, m, mode.one)
                       .compose(images).terms for m in monomials]
-        c_rows = [_combination(zip(row, p_rows), mode.zero)
+        c_rows = [_combination(zip(row, p_rows), mode)
                   for row in combined.matrix_inv]
         tables = _exp_sum_tables(mode, eigs, c_rows, lambda j: _combination(
-            ((x, expansions[l]) for l, x in modal_inv[j].items()), mode.zero))
+            ((x, expansions[l]) for l, x in modal_inv[j].items()), mode))
 
     return ClosedFormSolution(
         names=names,
@@ -568,13 +569,16 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
     )
 
 
-def _combination(pairs: Iterable[Tuple[Scalar, Dict]], zero: Scalar) -> Dict:
+def _combination(pairs: Iterable[Tuple[Scalar, Dict]], mode: Mode) -> Dict:
     """The sum of factor * row over (factor, sparse row) pairs, without
-    zero entries."""
-    out: Dict = {}
+    zero entries. A float entry adds its products in order onto zero; an
+    exact one is their scalars.lcm_sum, made one Fraction."""
+    products: Dict = {}
     for factor, row in pairs:
         for key, x in row.items():
-            out[key] = out.get(key, zero) + factor * x
+            products.setdefault(key, []).append((factor, x))
+    out = {key: Fraction(*lcm_sum(ps)) if mode is Mode.EXACT
+           else ordered_sum(ps, mode.zero) for key, ps in products.items()}
     return {key: x for key, x in out.items() if x != 0}
 
 
@@ -715,25 +719,25 @@ def _exact_table_values(tables: Sequence[Dict[Monomial, ExpSum]], steps: int
     With Q the lcm of the denominators of all bases, a base p/q is
     m / Q with the integer m = p * (Q/q). A cell sum_j c_j b_j^i is then
     (sum_j r_j m_j^i) / (S Q^i), where S is the lcm of the cell's
-    coefficient denominators and r_j = c_j S. Each step advances one
-    running power per distinct base and Q^i by one integer multiply, and
-    makes one Fraction per cell.
+    coefficient denominators and r_j = c_j S; scalars.over_lcm, which
+    also backs the lcm sums of decompose and _combination, gives both.
+    Each step advances one running power per distinct base and Q^i by
+    one integer multiply, and makes one Fraction per cell.
     """
     keys: Dict[Tuple[int, int], int] = {}
     for table in tables:
         for exp_sum in table.values():
             for base, _ in exp_sum.terms:
                 keys.setdefault((base.numerator, base.denominator), len(keys))
-    common = math.lcm(*(den for _, den in keys))
-    multipliers = [num * (common // den) for num, den in keys]
+    multipliers, common = over_lcm(list(keys))
     cells = []
     for table in tables:
         row = {}
         for mono, exp_sum in table.items():
-            lcd = math.lcm(*(c.denominator for _, c in exp_sum.terms))
-            row[mono] = (lcd, [(keys[(b.numerator, b.denominator)],
-                                c.numerator * (lcd // c.denominator))
-                               for b, c in exp_sum.terms])
+            numerators, lcd = over_lcm([(c.numerator, c.denominator)
+                                        for _, c in exp_sum.terms])
+            row[mono] = (lcd, [(keys[(b.numerator, b.denominator)], r)
+                               for (b, _), r in zip(exp_sum.terms, numerators)])
         cells.append(row)
     powers = [1] * len(multipliers)
     common_power = 1

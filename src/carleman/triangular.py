@@ -21,6 +21,13 @@ much larger fractions than T's. Float mode keeps right eigenvectors and
 inverts P: the left-eigenvector route sums in another order, and its
 float digits fail more verifies.
 
+The exact route is fraction-free, in the spirit of Bareiss (Math. Comp.
+22, 1968). Each product is an integer pair (numerator, denominator), an
+entry's products are added once over the lcm L of their denominators
+(scalars.lcm_sum) to acc / L, and the entry becomes one Fraction: with
+the diagonal's D[j][j] = n_j/d_j, y[l] = acc d_j d_l / (L (n_j d_l -
+n_l d_j)), and a row x of P has x[c] = -acc / L.
+
 T, P and P^-1 are stored by rows, each row a dict {column: value} that
 holds only nonzero entries (transition matrices are 2-25% full). A
 column is solved in the style of Gilbert and Peierls (SIAM J. Sci. Stat.
@@ -38,11 +45,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import RepeatedEigenvalueError
 from .linalg import is_upper_triangular
-from .scalars import Mode, Scalar, format_scalar, nearly_equal
+from .scalars import (Mode, Scalar, format_scalar, lcm_sum, nearly_equal,
+                      ordered_sum)
 
 SparseMatrix = List[Dict[int, Scalar]]
 
@@ -101,20 +110,18 @@ def _strict_columns(rows: Sequence[Dict[int, Scalar]]
     return columns
 
 
-def _solve_column(columns: List[List[Tuple[int, Scalar]]], a: int,
-                  top: Scalar, finish: Callable[[int, Scalar], Scalar],
-                  zero: Scalar) -> Dict[int, Scalar]:
+def _solve_column(columns: List[List[Tuple[int, Scalar]]], a: int, top: Scalar,
+                  finish: Callable[[int, list], Scalar]) -> Dict[int, Scalar]:
     """One column of a triangular back substitution, nonzeros only.
 
-    x[a] = top, and for b < a, x[b] = finish(b, s) where s is the sum over
-    c in (b, a] of M[b][c] x[c]. Rows are finished in descending order, so
-    the products for row b arrive with c descending; they are added back
-    in ascending c onto zero, the order of the dense loop. A product with
-    x[c] = 0 is left out: a sum started at +0 never holds a -0 part, and
-    adding a signed zero to +0 or to a nonzero part changes no bit.
+    x[a] = top, and for b < a, x[b] = finish(b, products) where products
+    lists the factor pairs (M[b][c], x[c]) for c in (b, a] ascending, the
+    order of the dense loop. A product with x[c] = 0 is left out: a float
+    sum started at +0 never holds a -0 part, and adding a signed zero to
+    +0 or to a nonzero part changes no bit.
     """
     column: Dict[int, Scalar] = {}
-    pending: Dict[int, List[Scalar]] = {}
+    pending: Dict[int, list] = {}
     rows_left: List[int] = []  # max-heap of the rows in pending, negated
     c, value = a, top
     while True:
@@ -123,17 +130,16 @@ def _solve_column(columns: List[List[Tuple[int, Scalar]]], a: int,
             for b, entry in columns[c]:
                 products = pending.get(b)
                 if products is None:
-                    pending[b] = [entry * value]
+                    pending[b] = [(entry, value)]
                     heapq.heappush(rows_left, -b)
                 else:
-                    products.append(entry * value)
+                    products.append((entry, value))
         if not rows_left:
             return column
         c = -heapq.heappop(rows_left)
-        acc = zero
-        for product in reversed(pending.pop(c)):
-            acc = acc + product
-        value = finish(c, acc)
+        products = pending.pop(c)
+        products.reverse()
+        value = finish(c, products)
 
 
 def _rows_from_columns(columns: Sequence[Dict[int, Scalar]]) -> SparseMatrix:
@@ -155,15 +161,15 @@ def _reversed_rows(rows: Sequence[Dict[int, Scalar]]
              if c > last - b and value != 0] for b in range(len(rows))]
 
 
-def _solve_row(reversed_rows: List[List[Tuple[int, Scalar]]], r: int,
-               finish: Callable[[int, Scalar], Scalar],
-               mode: Mode) -> Dict[int, Scalar]:
-    """One row of a forward substitution along M, nonzeros only: x[r] = 1
-    and, for c > r, x[c] = finish(c, sum over j in [r, c) of x[j] M[j][c]),
-    where reversed_rows is _reversed_rows(M). Columns come out ascending."""
+def _solve_row(reversed_rows: List[List[Tuple[int, Fraction]]], r: int,
+               finish: Callable[[int, int, int], Fraction]) -> Dict[int, Fraction]:
+    """One exact row of a forward substitution along M, nonzeros only:
+    x[r] = 1 and, for c > r, x[c] = finish(c, acc, L) where acc / L is
+    the lcm_sum over j in [r, c) of x[j] M[j][c], and reversed_rows is
+    _reversed_rows(M). Columns come out ascending."""
     last = len(reversed_rows) - 1
-    column = _solve_column(reversed_rows, last - r, mode.one,
-                           lambda b, acc: finish(last - b, acc), mode.zero)
+    column = _solve_column(reversed_rows, last - r, Fraction(1), lambda b, products:
+                           finish(last - b, *lcm_sum(products)))
     return {last - b: value for b, value in column.items()}
 
 
@@ -188,13 +194,14 @@ def decompose(matrix: Sequence[Dict[int, Scalar]], mode: Mode,
     if mode is Mode.EXACT:
         # row j of P^-1 is T's left eigenvector, and row r of P solves
         # x P^-1 = e_r
+        nums = [x.numerator for x in diagonal]
+        dens = [x.denominator for x in diagonal]
         by_row = _reversed_rows(matrix)
-        modal_inv = [
-            _solve_row(by_row, j, lambda l, acc, lam=diagonal[j]:
-                       acc / (lam - diagonal[l]), mode)
+        modal_inv = [_solve_row(by_row, j, lambda l, acc, common, j=j: Fraction(
+            acc * dens[j] * dens[l], common * (nums[j] * dens[l] - nums[l] * dens[j])))
             for j in range(n)]
         by_row = _reversed_rows(modal_inv)
-        modal = [_solve_row(by_row, r, lambda c, acc: -acc, mode)
+        modal = [_solve_row(by_row, r, lambda c, acc, common: Fraction(-acc, common))
                  if r in wanted else {} for r in range(n)]
     else:
         # float keeps right eigenvectors and an inversion: left
@@ -202,9 +209,8 @@ def decompose(matrix: Sequence[Dict[int, Scalar]], mode: Mode,
         # float verifies
         upper = _strict_columns(matrix)
         modal = _rows_from_columns([
-            _solve_column(upper, a, one,
-                          lambda b, acc, lam=diagonal[a]: acc / (lam - diagonal[b]),
-                          zero)
+            _solve_column(upper, a, one, lambda b, products, lam=diagonal[a]:
+                          ordered_sum(products, zero) / (lam - diagonal[b]))
             for a in range(n)])
         modal_inv = invert_unit_triangular(modal, mode)
         modal = [row if r in wanted else {} for r, row in enumerate(modal)]
@@ -228,6 +234,6 @@ def invert_unit_triangular(matrix: Sequence[Dict[int, Scalar]],
     diagonal = [matrix[i].get(i, zero) for i in range(n)]
     upper = _strict_columns(matrix)
     return _rows_from_columns([
-        _solve_column(upper, m, one / diagonal[m],
-                      lambda b, acc: -acc / diagonal[b], zero)
+        _solve_column(upper, m, one / diagonal[m], lambda b, products:
+                      -ordered_sum(products, zero) / diagonal[b])
         for m in range(n)])

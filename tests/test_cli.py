@@ -327,6 +327,16 @@ def test_digit_like_character_exits_1(tmp_path, capsys):
     assert err.startswith("parse error: line 2, column 16: unexpected character '²'")
 
 
+def test_literal_past_the_digit_limit_exits_1(tmp_path, capsys):
+    # Python refuses to convert integers of more than 4300 digits
+    code = main(["solve", write(tmp_path, "vars: u\nu[i] = u[i-1] + "
+                                + "1" * 5000 + "\n")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 2, column 17: literal too long")
+    assert "Traceback" not in err
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "absent.rec")])
     assert code == 1

@@ -86,15 +86,26 @@ def test_coupled_matches_fold(mode, order):
     assert_matches_oracles(build, mode)
 
 
-def unimodular(rng: random.Random):
-    a = [[F(1), F(0)], [F(0), F(1)]]
+def unimodular(rng: random.Random, k: int = 2):
+    """A product of three shears I + s e_r e_c^T, so det A = 1."""
+    a = [[F(int(r == c)) for c in range(k)] for r in range(k)]
     for _ in range(3):
         s = F(rng.choice((1, -1, 2, -2)))
-        shear = ([[F(1), s], [F(0), F(1)]] if rng.random() < 0.5
-                 else [[F(1), F(0)], [s, F(1)]])
-        a = [[sum(a[r][t] * shear[t][c] for t in range(2)) for c in range(2)]
-             for r in range(2)]
+        if k == 2:
+            r, c = (0, 1) if rng.random() < 0.5 else (1, 0)
+        else:
+            r, c = rng.sample(range(k), 2)
+        for row in a:
+            row[c] += s * row[r]
     return a
+
+
+def conjugated_system(tri: PolySystem, a) -> PolySystem:
+    """tri written in the coordinates A^-1 y, so that matrix=A finds tri
+    again."""
+    zeros = [F(0)] * tri.k
+    a_inv = TransformParams.create(a, zeros, Mode.EXACT).matrix_inv
+    return apply_affine(tri, TransformParams.create(a_inv, zeros, Mode.EXACT))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -104,12 +115,23 @@ def test_random_conjugated_systems_match_fold(mode, seed):
     rng = random.Random(seed)
     tri = random_triangular_system(rng, k=2)
     a = unimodular(rng)
-    a_inv = TransformParams.create(a, [F(0), F(0)], Mode.EXACT).matrix_inv
-    conjugated = apply_affine(tri, TransformParams.create(
-        a_inv, [F(0), F(0)], Mode.EXACT))
+    conjugated = conjugated_system(tri, a)
     assert_matches_oracles(
         lambda mode: solve(in_mode(conjugated, mode),
                            SolveOptions(order=5, mode=mode, matrix=a)), mode)
+
+
+def test_seeded_conjugated_systems_match_fold():
+    # one seeded loop over k = 2 and 3 and orders 2-5 pins the exact
+    # pullback sums (C' = A^-1 C and G'[j]) cell for cell with ==
+    rng = random.Random(11)
+    for _ in range(20):
+        k = rng.choice((2, 3))
+        a = unimodular(rng, k)
+        system = conjugated_system(random_triangular_system(rng, k=k), a)
+        order = rng.randint(2, 5)
+        assert_matches_oracles(lambda mode: solve(
+            system, SolveOptions(order=order, mode=mode, matrix=a)), Mode.EXACT)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -10,7 +10,9 @@ imaginary part included.
 Exact mode takes another route: P^-1's rows are solved from T as left
 eigenvectors and only the requested rows of P from P^-1. Exact values
 do not depend on the route, so those rows must still equal the dense
-oracle with ==, and the rows of P nobody asked for must be empty.
+oracle with ==, and the rows of P nobody asked for must be empty. That
+route adds its products as integers and makes one Fraction per entry,
+so no Fraction addition or multiplication may run inside it.
 """
 
 import random
@@ -188,6 +190,54 @@ def test_requested_rows_must_exist(mode):
             decompose(matrix, mode, rows=rows)
 
 
+# eigenvalues 1/7 and -3/5: their products have mixed signs and
+# denominators 7^a 5^b, so lambda_j - lambda_l is often negative and never
+# dyadic
+NON_DYADIC = ("vars: x, y\n"
+              "x[i] = 1/7*x[i-1] + y[i-1]^2\n"
+              "y[i] = -3/5*y[i-1] + x[i-1]*y[i-1] + x[i-1]^2\n")
+
+
+@pytest.mark.parametrize("order", range(2, 7))
+def test_non_dyadic_mixed_sign_spectrum_matches_dense_oracle(order):
+    matrix = transition(NON_DYADIC, order, Mode.EXACT)
+    check_against_oracle(matrix, Mode.EXACT)
+    check_requested_rows(matrix, [1, 2], Mode.EXACT)
+
+
+def test_random_non_dyadic_diagonals_match_dense_oracle():
+    diagonal = [F(1, 7), F(-3, 5), F(2, 9), F(-11, 13), F(5, 3), F(-1, 11),
+                F(7, 17), F(-13, 6)]
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randint(2, len(diagonal))
+        matrix = random_sparse_upper(rng, n, rng.choice((0.2, 0.5, 0.9)),
+                                     Mode.EXACT)
+        for b, value in enumerate(rng.sample(diagonal, n)):
+            matrix[b][b] = value
+        check_against_oracle(matrix, Mode.EXACT)
+        check_requested_rows(matrix, sorted(rng.sample(range(n), min(n, 3))),
+                             Mode.EXACT)
+
+
+def test_sums_that_cancel_to_zero_are_not_stored():
+    # with lambda = (1/7, -3/5, 2/3): P^-1[0][2] is (T[0][2] + y[1] T[1][2])
+    # / (1/7 - 2/3) with y[1] = 35/26, so T[0][2] = -35 cancels it; P[0][2]
+    # is (T[0][1] v[1] + T[0][2]) / (2/3 - 1/7) with v[1] = 390/19
+    for t02, position in ((F(-35), "modal_inv"), (F(-390, 19), "modal")):
+        matrix = [[F(1, 7), F(1), t02], [F(0), F(-3, 5), F(26)],
+                  [F(0), F(0), F(2, 3)]]
+        oracle = dense_modal(matrix, Mode.EXACT)
+        if position == "modal_inv":
+            oracle = dense_invert_triangular(oracle, Mode.EXACT)
+        assert oracle[0][2] == 0 and oracle[0][1] != 0
+        check_against_oracle(matrix, Mode.EXACT)
+        check_requested_rows(matrix, [0], Mode.EXACT)
+        spec = decompose(sparse(matrix), Mode.EXACT, rows=[0])
+        assert 2 not in getattr(spec, position)[0]
+        assert 1 in getattr(spec, position)[0]
+
+
 def test_exact_decompose_never_inverts(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("exact decompose inverted P")
@@ -196,6 +246,38 @@ def test_exact_decompose_never_inverts(monkeypatch):
     check_against_oracle(transition(TRI3, 4, Mode.EXACT), Mode.EXACT)
     check_requested_rows(transition(TRI3, 4, Mode.EXACT), [1, 2, 3],
                          Mode.EXACT)
+
+
+def test_exact_core_runs_no_fraction_arithmetic(monkeypatch):
+    # every sum is formed from integer products over one lcm, and each
+    # stored entry is one Fraction built from integers
+    counts = {}
+
+    def counting(name):
+        original = getattr(Fraction, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+        return wrapper
+
+    matrix = sparse(transition(TRI3, 9, Mode.EXACT))
+    rows = [(F(1, 3), {(1, 0): F(2, 3), (0, 1): F(-5, 7)}),
+            (F(2, 3), {(0, 1): F(5, 14), (1, 1): F(1)})]
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, counting(name))
+    assert F(1, 2) * F(2, 3) + F(1) == F(4, 3) and counts
+    counts.clear()
+    spec = decompose(matrix, Mode.EXACT, rows=[1, 2, 3])
+    combined = carleman.solver._combination(rows, Mode.EXACT)
+    assert counts == {}
+    monkeypatch.undo()
+    # the (0, 1) entry cancels and is not stored
+    assert combined == {(1, 0): F(2, 9), (1, 1): F(2, 3)}
+    # the entries are checked against the dense oracle above, at lower
+    # orders; here the solve must have run in full
+    assert sum(map(len, spec.modal_inv)) > 2 * len(matrix)
+    assert all(spec.modal[r] for r in (1, 2, 3))
 
 
 @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
