@@ -115,7 +115,7 @@ def _parse_matrix_flag(raw: Optional[str], mode: Mode):
             text = handle.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CarlemanError(f"--matrix-a is not valid JSON: {exc}") from exc
     if (not isinstance(data, list) or not data
             or any(not isinstance(row, list) for row in data)):
@@ -224,7 +224,7 @@ def _cmd_verify(args) -> int:
         with open(args.solution, "r", encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise CarlemanError(
                     f"solution file is not valid JSON: {exc}") from exc
         solution = ClosedFormSolution.from_json(data)

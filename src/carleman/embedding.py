@@ -14,6 +14,12 @@ image of basis monomial a under the map, expressed in basis coordinates,
 so y_i = T y_{i-1} entrywise. Row 0 is always (1, 0, ..., 0). Rows are
 stored sparse, as {column: coefficient} maps of the nonzero entries.
 
+The image of monomial m is prod_s f_s^m_s. In exact mode it is built from
+integer products: with d the lcm of all coefficient denominators, the
+truncated powers of F_s = d * f_s give d^|m| times the image, and each
+entry of row m is one Fraction over d^|m|. Float rows multiply the
+system polynomials themselves, starting from one.
+
 When the map has no constant term and an upper-triangular linear part,
 products can only move exponent mass toward higher variable indices and
 higher degrees, so T is exactly upper triangular in the basis order, and
@@ -23,11 +29,12 @@ its top-left blocks do not depend on the truncation order.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Tuple
+from fractions import Fraction
+from typing import Dict, Iterator, List
 
 from .errors import ArityError, SizeLimitError
 from .linalg import is_upper_triangular
-from .poly import Monomial, Poly
+from .poly import Monomial, integer_scaled, power_products
 from .scalars import Mode, Scalar, scalar_to_json
 
 BASIS_SIZE_LIMIT = 200_000
@@ -90,27 +97,20 @@ def build_transition(system, basis: MonomialBasis) -> "CarlemanMatrix":
     if system.k != basis.k:
         raise ArityError(
             f"system has {system.k} variables but the basis expects {basis.k}")
-    order = basis.order
-    one = system.mode.one
-
-    # cached truncated powers of each component map
-    pow_cache: Dict[Tuple[int, int], Poly] = {}
-
-    def component_power(s: int, e: int) -> Poly:
-        key = (s, e)
-        if key not in pow_cache:
-            pow_cache[key] = system.polys[s].pow_truncated(e, order).scaled(one)
-        return pow_cache[key]
-
+    if system.mode is Mode.EXACT:
+        factors, scale = integer_scaled(system.polys)
+        unit = 1
+    else:
+        factors, scale, unit = system.polys, None, system.mode.one
+    images = power_products(((mono, unit) for mono in basis.monomials),
+                            factors, basis.order)
     rows: List[Dict[int, Scalar]] = []
-    for mono in basis.monomials:
-        image = Poly.constant(basis.k, one)
-        for s, e in enumerate(mono):
-            if e:
-                image = image.mul_truncated(component_power(s, e), order)
-        rows.append(dict(sorted(
-            (basis.index_of(term_mono), coeff)
-            for term_mono, coeff in image.terms.items())))
+    for mono, image in zip(basis.monomials, images):
+        row = sorted((basis.index_of(t), c) for t, c in image.terms.items())
+        if scale is not None:
+            den = scale ** sum(mono)
+            row = [(col, Fraction(c, den)) for col, c in row]
+        rows.append(dict(row))
     return CarlemanMatrix(basis, rows, system.mode)
 
 

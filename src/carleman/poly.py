@@ -27,7 +27,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityError, ZeroPolynomialError
 from .scalars import Scalar
@@ -197,26 +197,13 @@ class Poly:
         for arg in arguments:
             if arg.var_count != inner_vars:
                 raise ArityError("argument polynomials disagree on variable count")
-        pow_cache: Dict[Tuple[int, int], Poly] = {}
-
-        def arg_power(l: int, e: int) -> Poly:
-            key = (l, e)
-            if key not in pow_cache:
-                pow_cache[key] = arguments[l].pow_truncated(e, max_degree)
-            return pow_cache[key]
-
-        out = Poly.zero(inner_vars)
-        constant = (0,) * inner_vars
         # a term whose product starts above the cutoff adds nothing
         lowest = None if max_degree is None else [
             min(map(sum, arg.terms), default=max_degree + 1) for arg in arguments]
-        for mono, coeff in self.terms.items():
-            if lowest and sum(map(operator.mul, mono, lowest)) > max_degree:
-                continue
-            piece = Poly._trusted(inner_vars, {constant: coeff})
-            for l, e in enumerate(mono):
-                if e:
-                    piece = piece.mul_truncated(arg_power(l, e), max_degree)
+        kept = [(mono, coeff) for mono, coeff in self.terms.items()
+                if not (lowest and sum(map(operator.mul, mono, lowest)) > max_degree)]
+        out = Poly.zero(inner_vars)
+        for piece in power_products(kept, arguments, max_degree):
             out = out + piece
         return out
 
@@ -252,6 +239,34 @@ class Poly:
                 lowered = tuple(x - 1 if i == var else x for i, x in enumerate(mono))
                 terms[lowered] = terms.get(lowered, 0) + coeff * e
         return Poly(self.var_count, terms)
+
+
+def power_products(terms: Iterable[Tuple[Monomial, Scalar]],
+                   factors: Sequence[Poly],
+                   max_degree: Optional[int] = None) -> Iterator[Poly]:
+    """For each (m, c) in terms, in order, c * prod_s factors[s]**m[s]
+    with degrees above max_degree dropped: the constant c times each
+    factor's truncated power in slot order, every power computed once."""
+    k = factors[0].var_count
+    constant = (0,) * k
+    powers: Dict[Tuple[int, int], Poly] = {}
+    for mono, coeff in terms:
+        piece = Poly._trusted(k, {constant: coeff})
+        for s, e in enumerate(mono):
+            if e:
+                if (s, e) not in powers:
+                    powers[s, e] = factors[s].pow_truncated(e, max_degree)
+                piece = piece.mul_truncated(powers[s, e], max_degree)
+        yield piece
+
+
+def integer_scaled(polys: Sequence[Poly]) -> Tuple[List[Poly], int]:
+    """The integer polynomials d * p for exact polys p, and d: the lcm of
+    all their coefficient denominators."""
+    scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return [Poly._trusted(p.var_count, {m: c.numerator * (scale // c.denominator)
+                                        for m, c in p.terms.items()})
+            for p in polys], scale
 
 
 def affine_images(matrix: Sequence[Sequence[Scalar]],

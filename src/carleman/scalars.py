@@ -117,21 +117,25 @@ def scalar_to_json(value: Scalar):
 
 
 def scalar_from_json(mode: Mode, value) -> Scalar:
-    """Inverse of scalar_to_json; also tolerant of bare JSON numbers."""
-    if mode is Mode.EXACT:
-        if isinstance(value, bool) or isinstance(value, (list, tuple, dict)):
-            raise CarlemanError(f"cannot read {value!r} as an exact scalar")
-        if isinstance(value, float):
-            # decimal text keeps user intent; binary floats would surprise
-            return Fraction(repr(value))
-        return Fraction(value)
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise CarlemanError(f"float scalar pair must have 2 entries, got {len(value)}")
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, str):
-        return complex(Fraction(value))
-    return complex(value)
+    """Inverse of scalar_to_json; also tolerant of bare JSON numbers. A
+    value that is no scalar raises CarlemanError."""
+    try:
+        if mode is Mode.EXACT:
+            if isinstance(value, bool) or isinstance(value, (list, tuple, dict)):
+                raise CarlemanError(f"cannot read {value!r} as an exact scalar")
+            if isinstance(value, float):
+                # decimal text keeps user intent; binary floats would surprise
+                return Fraction(repr(value))
+            return Fraction(value)
+        if isinstance(value, (list, tuple)):
+            if len(value) != 2:
+                raise CarlemanError(f"float scalar pair must have 2 entries, got {len(value)}")
+            return complex(float(value[0]), float(value[1]))
+        if isinstance(value, str):
+            return complex(Fraction(value))
+        return complex(value)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+        raise CarlemanError(f"cannot read {value!r} as a scalar: {exc}") from exc
 
 
 def parse_scalar_text(mode: Mode, text: str) -> Scalar:

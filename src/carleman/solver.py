@@ -42,10 +42,10 @@ from .errors import (ArityError, CarlemanError, NotShiftedError,
                      RepeatedEigenvalueError, ShiftNotFoundError,
                      SizeLimitError, TriangularizationError)
 from .linalg import is_upper_triangular, mat_vec, max_abs
-from .poly import Monomial, Poly, affine_images, grlex_key
-from .scalars import (Mode, Scalar, format_scalar, lcm_sum, nearly_equal,
-                      ordered_sum, over_lcm, scalar_from_json, scalar_to_json,
-                      sort_key)
+from .poly import (Monomial, Poly, affine_images, grlex_key, integer_scaled,
+                   power_products)
+from .scalars import (Mode, Scalar, format_scalar, nearly_equal, over_lcm,
+                      scalar_from_json, scalar_to_json, sort_key)
 from .systems import (AdmissibilityReport, PolySystem, TransformParams,
                       apply_affine, check_shift_admissible, fixed_points,
                       reduce_depth, triangularize_linear,
@@ -537,7 +537,9 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
     spectral.modal read here, and G[j] is row j of P^-1 with column l read
     as basis monomial l. Original coordinates z = A^-1 y + B: C' = A^-1 C,
     and G'[j] is the sum over l of P^-1[j][l] * E_l, where E_l is basis
-    monomial l written in z_0 by y_0 = A z_0 - A B.
+    monomial l written in z_0 by y_0 = A z_0 - A B. _pullback builds C'
+    and G'; in exact mode from integer products and integer sums, with
+    one Fraction per stored entry.
     """
     mode = transformed.mode
     eigs = spectral.eigenvalues
@@ -551,12 +553,8 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
     if not combined.is_identity():
         a_rows, offset = combined.matrix, combined.offset
         images = affine_images(a_rows, [-x for x in mat_vec(a_rows, offset)])
-        expansions = [Poly.from_monomial(transformed.k, m, mode.one)
-                      .compose(images).terms for m in monomials]
-        c_rows = [_combination(zip(row, p_rows), mode)
-                  for row in combined.matrix_inv]
-        tables = _exp_sum_tables(mode, eigs, c_rows, lambda j: _combination(
-            ((x, expansions[l]) for l, x in modal_inv[j].items()), mode))
+        tables = _exp_sum_tables(mode, eigs, *_pullback(
+            images, combined.matrix_inv, p_rows, modal_inv, monomials, mode))
 
     return ClosedFormSolution(
         names=names,
@@ -569,17 +567,60 @@ def _assemble(transformed: PolySystem, basis: MonomialBasis,
     )
 
 
-def _combination(pairs: Iterable[Tuple[Scalar, Dict]], mode: Mode) -> Dict:
+def _pullback(images: Sequence[Poly], a_inv, p_rows: List[Dict], modal_inv,
+              monomials: Sequence[Monomial], mode: Mode
+              ) -> Tuple[List[Dict], Callable[[int], Dict]]:
+    """C' = A^-1 C, and the map j -> G'[j] = sum over l of P^-1[j][l] * E_l
+    with E_l from _expansions. Exact rows of C go to _combination as
+    integers over one denominator each, like the exact E_l."""
+    expansions = _expansions(images, monomials, mode)
+    if mode is Mode.EXACT:
+        p_rows = [_integer_row(row) for row in p_rows]
+    c_rows = [_combination(zip(row, p_rows), mode) for row in a_inv]
+    return c_rows, lambda j: _combination(
+        ((x, expansions[l]) for l, x in modal_inv[j].items()), mode)
+
+
+def _expansions(images: Sequence[Poly], monomials: Sequence[Monomial],
+                mode: Mode) -> List:
+    """E_l = prod_s images[s]^l[s] for each basis monomial l: float rows
+    as coefficient maps, exact rows as (integer numerators, d^|l|) from
+    the images scaled by d, the lcm of their denominators."""
+    if mode is Mode.FLOAT:
+        return [p.terms for p in power_products(
+            ((m, mode.one) for m in monomials), images)]
+    factors, scale = integer_scaled(images)
+    return [(p.terms, scale ** sum(m)) for m, p in zip(
+        monomials, power_products(((m, 1) for m in monomials), factors))]
+
+
+def _integer_row(row: Dict[int, Fraction]) -> Tuple[Dict[int, int], int]:
+    """An exact sparse row as (integer numerators, their denominator L)."""
+    numerators, common = over_lcm([x.as_integer_ratio() for x in row.values()])
+    return dict(zip(row, numerators)), common
+
+
+def _combination(pairs: Iterable[Tuple[Scalar, object]], mode: Mode) -> Dict:
     """The sum of factor * row over (factor, sparse row) pairs, without
-    zero entries. A float entry adds its products in order onto zero; an
-    exact one is their scalars.lcm_sum, made one Fraction."""
-    products: Dict = {}
-    for factor, row in pairs:
+    zero entries, keys in order of first appearance. A float row is a
+    coefficient map, and each entry adds its products in order onto zero.
+    An exact row is (integer numerators, denominator); over L, the lcm of
+    every factor.den * row.den, each entry is a sum of integer products
+    with weights factor.num * (L // (factor.den * row.den)), made one
+    Fraction."""
+    if mode is Mode.EXACT:
+        pairs = [(f.numerator, f.denominator * den, terms)
+                 for f, (terms, den) in pairs]
+        common = math.lcm(*(den for _, den, _ in pairs))
+        pairs = [(n * (common // den), terms) for n, den, terms in pairs]
+    sums: Dict = {}
+    zero = 0 if mode is Mode.EXACT else mode.zero
+    for weight, row in pairs:
         for key, x in row.items():
-            products.setdefault(key, []).append((factor, x))
-    out = {key: Fraction(*lcm_sum(ps)) if mode is Mode.EXACT
-           else ordered_sum(ps, mode.zero) for key, ps in products.items()}
-    return {key: x for key, x in out.items() if x != 0}
+            sums[key] = sums.get(key, zero) + weight * x
+    if mode is Mode.EXACT:
+        return {key: Fraction(x, common) for key, x in sums.items() if x}
+    return {key: x for key, x in sums.items() if x != 0}
 
 
 def _exp_sum_tables(mode: Mode, eigs: Sequence[Scalar],
@@ -661,14 +702,12 @@ def _integer_system(system: PolySystem, denominator: int
     every update polynomial f, D the given denominator: with d the lcm of
     the coefficient denominators and g the system's degree, a coefficient
     a_m becomes a_m * d * D^(g - |m|) and E = d * D^g."""
-    scale = math.lcm(*(c.denominator for p in system.polys
-                       for c in p.terms.values()))
+    scaled, scale = integer_scaled(system.polys)
     degree = max(0, max(p.degree() for p in system.polys))
     den_powers = [denominator ** e for e in range(degree + 1)]
-    polys = [Poly(system.k, {m: c.numerator * (scale // c.denominator)
-                             * den_powers[degree - sum(m)]
-                             for m, c in p.terms.items()})
-             for p in system.polys]
+    polys = [Poly._trusted(system.k, {m: c * den_powers[degree - sum(m)]
+                                      for m, c in p.terms.items()})
+             for p in scaled]
     return polys, scale * den_powers[degree]
 
 
@@ -720,7 +759,7 @@ def _exact_table_values(tables: Sequence[Dict[Monomial, ExpSum]], steps: int
     m / Q with the integer m = p * (Q/q). A cell sum_j c_j b_j^i is then
     (sum_j r_j m_j^i) / (S Q^i), where S is the lcm of the cell's
     coefficient denominators and r_j = c_j S; scalars.over_lcm, which
-    also backs the lcm sums of decompose and _combination, gives both.
+    also backs the lcm sums of decompose and _integer_row, gives both.
     Each step advances one running power per distinct base and Q^i by
     one integer multiply, and makes one Fraction per cell.
     """

@@ -13,6 +13,12 @@ It is the exact-mode oracle for the single assembly formula in
 solver._assemble. fraction_verify() is verify() with the oracle iterated
 in Fraction (or complex) polynomials and every cell evaluated by
 ExpSum.evaluate, the oracle for the integer evaluation of exact verify.
+fraction_build_transition() builds T from Fraction (or complex) products,
+compose_expansions() expands each basis monomial through the pullback
+images with one Poly.compose, and lcm_sum_combination() sums a pullback
+entry's Fraction products by scalars.lcm_sum; lcm_sum_pullback() joins
+the last two. They are the oracles for the integer products and sums of
+build_transition and solver._pullback.
 chain_sum_eigenvector_entry() and chain_sum_inverse_entry() give single
 entries of P and P^-1 as sums over strictly increasing index chains, the
 paper's combinatorial formulas; they are exponential in matrix size.
@@ -28,13 +34,13 @@ coordinates.
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from carleman.embedding import MonomialBasis
+from carleman.embedding import CarlemanMatrix, MonomialBasis
 from carleman.linalg import Matrix, identity, mat_mul, mat_vec
 from carleman.errors import ArityError, CarlemanError, SizeLimitError
 from carleman.poly import Monomial, Poly, affine_images, grlex_key
-from carleman.scalars import Mode, Scalar
+from carleman.scalars import Mode, Scalar, lcm_sum, ordered_sum
 from carleman.solver import (ClosedFormSolution, ExpSum, VerificationReport,
                              VerificationRow, _FLOAT_CONSTANT_TOL,
                              _ORACLE_TERM_LIMIT, _clean_float_constants)
@@ -162,6 +168,70 @@ def fold_pullback(solution) -> List[Dict[Monomial, ExpSum]]:
     for p in range(w):
         tables[p] = {m: s for m, s in tables[p].items() if not s.is_zero()}
     return tables
+
+
+def fraction_build_transition(system, basis: MonomialBasis) -> CarlemanMatrix:
+    """build_transition with every row a product of Fraction (or complex)
+    powers, each power scaled by one: the package builds exact rows from
+    integer products over d^degree instead."""
+    if system.depth != 1:
+        raise ArityError("transition matrices are built from depth-one systems")
+    if system.k != basis.k:
+        raise ArityError(
+            f"system has {system.k} variables but the basis expects {basis.k}")
+    order = basis.order
+    one = system.mode.one
+
+    # cached truncated powers of each component map
+    pow_cache: Dict[Tuple[int, int], Poly] = {}
+
+    def component_power(s: int, e: int) -> Poly:
+        key = (s, e)
+        if key not in pow_cache:
+            pow_cache[key] = system.polys[s].pow_truncated(e, order).scaled(one)
+        return pow_cache[key]
+
+    rows: List[Dict[int, Scalar]] = []
+    for mono in basis.monomials:
+        image = Poly.constant(basis.k, one)
+        for s, e in enumerate(mono):
+            if e:
+                image = image.mul_truncated(component_power(s, e), order)
+        rows.append(dict(sorted(
+            (basis.index_of(term_mono), coeff)
+            for term_mono, coeff in image.terms.items())))
+    return CarlemanMatrix(basis, rows, system.mode)
+
+
+def compose_expansions(images: Sequence[Poly], monomials: Sequence[Monomial],
+                       mode: Mode) -> List[Dict[Monomial, Scalar]]:
+    """The pullback expansions E_l as Fraction (or complex) maps, one
+    Poly.compose of basis monomial l with the images each."""
+    return [Poly.from_monomial(len(images), m, mode.one)
+            .compose(images).terms for m in monomials]
+
+
+def lcm_sum_combination(pairs: Iterable[Tuple[Scalar, Dict]],
+                        mode: Mode) -> Dict:
+    """The sum of factor * row over (factor, sparse row) pairs, without
+    zero entries. A float entry adds its products in order onto zero; an
+    exact one is their scalars.lcm_sum, made one Fraction."""
+    products: Dict = {}
+    for factor, row in pairs:
+        for key, x in row.items():
+            products.setdefault(key, []).append((factor, x))
+    out = {key: Fraction(*lcm_sum(ps)) if mode is Mode.EXACT
+           else ordered_sum(ps, mode.zero) for key, ps in products.items()}
+    return {key: x for key, x in out.items() if x != 0}
+
+
+def lcm_sum_pullback(images, a_inv, p_rows, modal_inv, monomials, mode):
+    """solver._pullback on Fraction rows: E_l by compose_expansions, and
+    C' and every G'[j] by lcm_sum_combination."""
+    expansions = compose_expansions(images, monomials, mode)
+    c_rows = [lcm_sum_combination(zip(row, p_rows), mode) for row in a_inv]
+    return c_rows, lambda j: lcm_sum_combination(
+        ((x, expansions[l]) for l, x in modal_inv[j].items()), mode)
 
 
 def _identity_polys(system: PolySystem) -> List[Poly]:

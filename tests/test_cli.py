@@ -212,6 +212,23 @@ def test_verify_corrupt_solution_file(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coeff", ["9" * 5000, '"1/0"'],
+                         ids=["5000-digits", "zero-denominator"])
+def test_verify_unreadable_solution_scalar_exits_2(tmp_path, capsys, coeff):
+    path = write(tmp_path, LOGISTIC)
+    sol = tmp_path / "solution.json"
+    assert main(["solve", path, "--order", "3", "--format", "json",
+                 "--output", str(sol)]) == 0
+    data = json.loads(sol.read_text())
+    data["variables"][0]["terms"][0]["expsum"][0]["coeff"] = "COEFF"
+    sol.write_text(json.dumps(data).replace('"COEFF"', coeff))
+    code = main(["verify", path, "--order", "3", "--solution", str(sol)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_negative_max_power_exits_2(tmp_path, capsys):
     code = main(["verify", write(tmp_path, COUPLED), "--max-power", "-1"])
     assert code == 2
@@ -502,6 +519,17 @@ def test_bad_inline_matrix_exits_2(tmp_path, capsys):
                  "--matrix-a", "[[1,2],"])
     assert code == 2
     assert "--matrix-a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ['"abc"', '"1/0"', "9" * 5000],
+                         ids=["letters", "zero-denominator", "5000-digits"])
+def test_unreadable_inline_matrix_entry_exits_2(tmp_path, capsys, entry):
+    code = main(["solve", write(tmp_path, COUPLED), "--order", "2",
+                 "--matrix-a", f"[[1,{entry}],[0,1]]"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_unknown_flag_is_rejected(tmp_path, capsys):

@@ -12,7 +12,8 @@ eigenvectors and only the requested rows of P from P^-1. Exact values
 do not depend on the route, so those rows must still equal the dense
 oracle with ==, and the rows of P nobody asked for must be empty. That
 route adds its products as integers and makes one Fraction per entry,
-so no Fraction addition or multiplication may run inside it.
+so no Fraction addition or multiplication may run inside it; nor in
+exact build_transition, nor in the pullback's C' and G'[j].
 """
 
 import random
@@ -25,9 +26,11 @@ import carleman.triangular
 from carleman import SolveOptions, parse_system, solve
 from carleman.embedding import MonomialBasis, build_transition
 from carleman.scalars import Mode
+from carleman.solver import _integer_row
 from carleman.triangular import decompose, invert_unit_triangular
 
 from oracles import dense, dense_invert_triangular, dense_modal, sparse
+from test_integer_core_oracle import pullback_args
 
 F = Fraction
 
@@ -36,6 +39,11 @@ TRI3 = ("vars: x, y, z\n"
         "x[i] = 2*x[i-1] + y[i-1]^2\n"
         "y[i] = 3*y[i-1] + x[i-1]*z[i-1]\n"
         "z[i] = 5*z[i-1] + x[i-1]^2\n")
+COUPLED = (
+    "vars: u, v\n"
+    "u[i] = 8*u[i-1] + 10*v[i-1] + u[i-1]^2 + 3*u[i-1]*v[i-1] + v[i-1]^2\n"
+    "v[i] = -3*u[i-1] - 3*v[i-1] + u[i-1]^2 - u[i-1]*v[i-1] + v[i-1]^2\n")
+COUPLED_A = [[1, 2], [-3, -5]]
 COUPLED_TILDE = [
     [F(1), F(0), F(0), F(0), F(0), F(0)],
     [F(0), F(2), F(0), F(87), F(67), F(13)],
@@ -250,7 +258,8 @@ def test_exact_decompose_never_inverts(monkeypatch):
 
 def test_exact_core_runs_no_fraction_arithmetic(monkeypatch):
     # every sum is formed from integer products over one lcm, and each
-    # stored entry is one Fraction built from integers
+    # stored entry is one Fraction built from integers; the cell products
+    # of _exp_sum_tables are not part of this core
     counts = {}
 
     def counting(name):
@@ -261,23 +270,33 @@ def test_exact_core_runs_no_fraction_arithmetic(monkeypatch):
             return original(*args)
         return wrapper
 
+    tri3, _ = parse_system(TRI3, Mode.EXACT)
+    basis = MonomialBasis(3, 9)
     matrix = sparse(transition(TRI3, 9, Mode.EXACT))
-    rows = [(F(1, 3), {(1, 0): F(2, 3), (0, 1): F(-5, 7)}),
-            (F(2, 3), {(0, 1): F(5, 14), (1, 1): F(1)})]
+    rows = [(F(1, 3), _integer_row({(1, 0): F(2, 3), (0, 1): F(-5, 7)})),
+            (F(2, 3), _integer_row({(0, 1): F(5, 14), (1, 1): F(1)}))]
+    coupled, _ = parse_system(COUPLED, Mode.EXACT)
+    args = pullback_args(coupled, 8, {"matrix": COUPLED_A})
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         monkeypatch.setattr(Fraction, name, counting(name))
     assert F(1, 2) * F(2, 3) + F(1) == F(4, 3) and counts
     counts.clear()
+    transition_rows = build_transition(tri3, basis).rows
     spec = decompose(matrix, Mode.EXACT, rows=[1, 2, 3])
     combined = carleman.solver._combination(rows, Mode.EXACT)
+    c_rows, column = carleman.solver._pullback(*args)
+    columns = [column(j) for j in range(len(args[3]))]
     assert counts == {}
     monkeypatch.undo()
     # the (0, 1) entry cancels and is not stored
     assert combined == {(1, 0): F(2, 9), (1, 1): F(2, 3)}
-    # the entries are checked against the dense oracle above, at lower
-    # orders; here the solve must have run in full
+    # the entries are checked against the dense oracle above, and T and
+    # the pullback against the Fraction routes elsewhere; here each
+    # stage must have run in full
+    assert dense(transition_rows) == dense(matrix)
     assert sum(map(len, spec.modal_inv)) > 2 * len(matrix)
     assert all(spec.modal[r] for r in (1, 2, 3))
+    assert all(c_rows) and all(columns)
 
 
 @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
