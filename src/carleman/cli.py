@@ -106,6 +106,21 @@ def _parse_shift_flag(raw: Optional[str], mode: Mode):
     return [parse_scalar_text(mode, piece) for piece in raw.split(",")]
 
 
+def _read_json(text: str, what: str):
+    """json.loads; an integer past Python's digit limit is reported by its
+    length."""
+    def integer(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:
+            count = len(digits.lstrip("-"))
+            raise CarlemanError(f"{what}: number too long ({count} digits)") from None
+    try:
+        return json.loads(text, parse_int=integer)
+    except ValueError as exc:
+        raise CarlemanError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _parse_matrix_flag(raw: Optional[str], mode: Mode):
     if raw is None:
         return None
@@ -113,10 +128,7 @@ def _parse_matrix_flag(raw: Optional[str], mode: Mode):
     if not text.startswith("["):
         with open(text, "r", encoding="utf-8") as handle:
             text = handle.read()
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise CarlemanError(f"--matrix-a is not valid JSON: {exc}") from exc
+    data = _read_json(text, "--matrix-a")
     if (not isinstance(data, list) or not data
             or any(not isinstance(row, list) for row in data)):
         raise CarlemanError("--matrix-a must be a JSON list of rows")
@@ -222,11 +234,7 @@ def _cmd_verify(args) -> int:
     system, names = _load_system(args, opts.mode)
     if args.solution is not None:
         with open(args.solution, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except ValueError as exc:
-                raise CarlemanError(
-                    f"solution file is not valid JSON: {exc}") from exc
+            data = _read_json(handle.read(), "solution file")
         solution = ClosedFormSolution.from_json(data)
     else:
         solution = solve(system, opts, names=names)

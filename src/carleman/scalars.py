@@ -59,18 +59,6 @@ def over_lcm(pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
     return [n * (common // d) for n, d in pairs], common
 
 
-def lcm_sum(products: Sequence[Tuple[Fraction, Fraction]]) -> Tuple[int, int]:
-    """The sum of a * b over products as (numerator, L), with no Fraction
-    arithmetic: the integer products (an * bn, ad * bd) added over_lcm."""
-    pairs = []
-    for a, b in products:
-        an, ad = a.as_integer_ratio()
-        bn, bd = b.as_integer_ratio()
-        pairs.append((an * bn, ad * bd))
-    numerators, common = over_lcm(pairs)
-    return sum(numerators), common
-
-
 def ordered_sum(products: Sequence[Tuple[Scalar, Scalar]], zero: Scalar) -> Scalar:
     """The sum of a * b over products, added in order onto zero."""
     acc = zero

@@ -13,45 +13,46 @@ for b from a-1 down to 0 and l from j+1 up to n-1. P and P^-1 are unit
 upper triangular, and the factorization is what the closed-form solver
 reads its coefficients from.
 
-Exact mode solves every row of P^-1 from T as a left eigenvector, then
-only the rows of P its caller asks for, each from x P^-1 = e_r by
-forward substitution; P is never inverted. The solver reads all of P^-1
-but only the rows of P that belong to its variables, and P's entries are
-much larger fractions than T's. Float mode keeps right eigenvectors and
-inverts P: the left-eigenvector route sums in another order, and its
-float digits fail more verifies.
+Exact mode solves only the rows of P its caller asks for, each from
+x P^-1 = e_r by forward substitution; P is never inverted. Rows r of P
+and P^-1 are nonzero only on indices reachable from r along T[b][c] != 0,
+so exact mode solves from T, as left eigenvectors, just the reachable
+rows of P^-1 (the symbolic step of a sparse triangular solve, Gilbert and
+Peierls, SIAM J. Sci. Stat. Comput. 9(5), 1988) and leaves the others
+empty. Float mode keeps right eigenvectors and inverts P: the
+left-eigenvector route sums in another order, and its float digits fail
+more verifies.
 
 The exact route is fraction-free, in the spirit of Bareiss (Math. Comp.
-22, 1968). Each product is an integer pair (numerator, denominator), an
-entry's products are added once over the lcm L of their denominators
-(scalars.lcm_sum) to acc / L, and the entry becomes one Fraction: with
-the diagonal's D[j][j] = n_j/d_j, y[l] = acc d_j d_l / (L (n_j d_l -
-n_l d_j)), and a row x of P has x[c] = -acc / L.
+22, 1968). A forward substitution along M scatters each final x[j] over
+row j of M as integer pairs, added into a running sum acc / L per
+pending column; L widens by a gcd only when a product's denominator does
+not divide it, and columns are finished ascending from a heap. Each
+stored entry is one Fraction: with D[j][j] = n_j/d_j, y[l] = acc d_j d_l
+/ (L (n_j d_l - n_l d_j)), and a row x of P has x[c] = -acc / L. A zero
+sum is neither stored nor scattered, so a row of P^-1 takes at most
+nnz(T) products and a row of P at most nnz(P^-1).
 
 T, P and P^-1 are stored by rows, each row a dict {column: value} that
-holds only nonzero entries (transition matrices are 2-25% full). A
-column is solved in the style of Gilbert and Peierls (SIAM J. Sci. Stat.
-Comput. 9(5), 1988): once v[c] is final it is scattered into the rows b
-with T[b][c] != 0, and rows are finished from the bottom up, so only
-entries that can be nonzero are ever visited. A forward substitution is
-the same loop with the indices reversed. An eigenvector of either side
-takes at most nnz(T) products, P^-1 from P at most n nnz(P) and a row of
-P from P^-1 at most nnz(P^-1), instead of the dense loops' O(n^3). Each
-float sum still runs over c ascending from a zero start, exactly like
-the dense loop, so float results are bit-identical to it.
+holds only nonzero entries (transition matrices are 2-25% full). A float
+column of P is scattered the same way, bottom up, into the rows b with
+T[b][c] != 0, and P^-1 from P takes at most n nnz(P) products, instead
+of the dense loops' O(n^3). Each float sum still runs over c ascending
+from a zero start, exactly like the dense loop, so float results are
+bit-identical to it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import RepeatedEigenvalueError
 from .linalg import is_upper_triangular
-from .scalars import (Mode, Scalar, format_scalar, lcm_sum, nearly_equal,
-                      ordered_sum)
+from .scalars import Mode, Scalar, format_scalar, nearly_equal, ordered_sum
 
 SparseMatrix = List[Dict[int, Scalar]]
 
@@ -65,7 +66,9 @@ class SpectralDecomposition:
 
     modal and modal_inv are tuples of n sparse rows: absent entries are
     zero. When decompose was asked for only some rows of modal, every
-    other row of modal is an empty dict.
+    other row of modal is an empty dict. In exact mode so is every row of
+    modal_inv that no requested row reaches along T[b][c] != 0, on which
+    the requested rows of modal are zero.
     """
 
     eigenvalues: Tuple[Scalar, ...]
@@ -151,26 +154,44 @@ def _rows_from_columns(columns: Sequence[Dict[int, Scalar]]) -> SparseMatrix:
     return rows
 
 
-def _reversed_rows(rows: Sequence[Dict[int, Scalar]]
-                   ) -> List[List[Tuple[int, Scalar]]]:
-    """_strict_columns of the anti-transpose M'[i][j] = M[n-1-j][n-1-i]:
-    a forward substitution along the rows of M is a back substitution
-    for _solve_column, index i standing for n-1-i."""
-    last = len(rows) - 1
-    return [[(last - c, value) for c, value in rows[last - b].items()
-             if c > last - b and value != 0] for b in range(len(rows))]
+def _integer_rows(rows: Sequence[Dict[int, Fraction]]
+                  ) -> List[List[Tuple[int, int, int]]]:
+    """The nonzero entries right of the diagonal in each exact row, as
+    (column, numerator, denominator)."""
+    return [[(c, x.numerator, x.denominator) for c, x in row.items()
+             if c > b and x != 0] for b, row in enumerate(rows)]
 
 
-def _solve_row(reversed_rows: List[List[Tuple[int, Fraction]]], r: int,
-               finish: Callable[[int, int, int], Fraction]) -> Dict[int, Fraction]:
-    """One exact row of a forward substitution along M, nonzeros only:
-    x[r] = 1 and, for c > r, x[c] = finish(c, acc, L) where acc / L is
-    the lcm_sum over j in [r, c) of x[j] M[j][c], and reversed_rows is
-    _reversed_rows(M). Columns come out ascending."""
-    last = len(reversed_rows) - 1
-    column = _solve_column(reversed_rows, last - r, Fraction(1), lambda b, products:
-                           finish(last - b, *lcm_sum(products)))
-    return {last - b: value for b, value in column.items()}
+def _forward_row(rows: List[List[Tuple[int, int, int]]], r: int,
+                 finish: Callable[[int, int, int], Fraction]
+                 ) -> Dict[int, Fraction]:
+    """One exact row of a forward substitution along M, nonzeros only,
+    columns ascending: x[r] = 1 and, for c > r, x[c] = finish(c, acc, L)
+    with acc / L the sum over j in [r, c) of x[j] M[j][c], kept as a
+    running integer sum; rows is _integer_rows(M)."""
+    out: Dict[int, Fraction] = {}
+    pending = {r: [1, 1]}
+    columns_left = [r]  # min-heap of the columns in pending
+    while columns_left:
+        c = heapq.heappop(columns_left)
+        acc, common = pending.pop(c)
+        if not acc:
+            continue
+        x = out[c] = finish(c, acc, common) if out else Fraction(1)
+        num, den = x.numerator, x.denominator
+        for l, n, d in rows[c]:
+            n, d = n * num, d * den
+            entry = pending.get(l)
+            if entry is None:
+                pending[l] = [n, d]
+                heapq.heappush(columns_left, l)
+            elif entry[1] % d:
+                g = math.gcd(entry[1], d)
+                entry[0] = entry[0] * (d // g) + n * (entry[1] // g)
+                entry[1] = entry[1] // g * d
+            else:
+                entry[0] += n * (entry[1] // d)
+    return out
 
 
 def decompose(matrix: Sequence[Dict[int, Scalar]], mode: Mode,
@@ -180,7 +201,7 @@ def decompose(matrix: Sequence[Dict[int, Scalar]], mode: Mode,
 
     rows, when given, lists the rows of modal the caller reads; the other
     rows of modal come back empty. Exact mode then computes only those
-    rows. modal_inv is always complete.
+    rows and the rows of modal_inv they reach; see SpectralDecomposition.
     """
     n = len(matrix)
     if not is_upper_triangular(matrix, 0.0 if mode is Mode.EXACT else 1e-12):
@@ -196,12 +217,18 @@ def decompose(matrix: Sequence[Dict[int, Scalar]], mode: Mode,
         # x P^-1 = e_r
         nums = [x.numerator for x in diagonal]
         dens = [x.denominator for x in diagonal]
-        by_row = _reversed_rows(matrix)
-        modal_inv = [_solve_row(by_row, j, lambda l, acc, common, j=j: Fraction(
+        by_row = _integer_rows(matrix)
+        # wanted and every index it reaches: T[b][c] != 0 only for c > b,
+        # so one ascending sweep finds them all
+        solved = set(wanted)
+        for b in range(n):
+            if b in solved:
+                solved.update(c for c, _, _ in by_row[b])
+        modal_inv = [_forward_row(by_row, j, lambda l, acc, common, j=j: Fraction(
             acc * dens[j] * dens[l], common * (nums[j] * dens[l] - nums[l] * dens[j])))
-            for j in range(n)]
-        by_row = _reversed_rows(modal_inv)
-        modal = [_solve_row(by_row, r, lambda c, acc, common: Fraction(-acc, common))
+            if j in solved else {} for j in range(n)]
+        by_row = _integer_rows(modal_inv)
+        modal = [_forward_row(by_row, r, lambda c, acc, common: Fraction(-acc, common))
                  if r in wanted else {} for r in range(n)]
     else:
         # float keeps right eigenvectors and an inversion: left

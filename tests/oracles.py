@@ -16,9 +16,13 @@ ExpSum.evaluate, the oracle for the integer evaluation of exact verify.
 fraction_build_transition() builds T from Fraction (or complex) products,
 compose_expansions() expands each basis monomial through the pullback
 images with one Poly.compose, and lcm_sum_combination() sums a pullback
-entry's Fraction products by scalars.lcm_sum; lcm_sum_pullback() joins
-the last two. They are the oracles for the integer products and sums of
-build_transition and solver._pullback.
+entry's Fraction products by lcm_sum(), once scalars.lcm_sum;
+lcm_sum_pullback() joins the last two. They are the oracles for the
+integer products and sums of build_transition and solver._pullback.
+lcm_sum_decompose() is exact decompose as it was before it solved only
+the rows of P^-1 reachable() from the requested rows of P: every row by
+_solve_row(), a back substitution by triangular._solve_column along the
+anti-transpose (_reversed_rows()) whose entries are each one lcm_sum().
 chain_sum_eigenvector_entry() and chain_sum_inverse_entry() give single
 entries of P and P^-1 as sums over strictly increasing index chains, the
 paper's combinatorial formulas; they are exponential in matrix size.
@@ -34,18 +38,19 @@ coordinates.
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from carleman.embedding import CarlemanMatrix, MonomialBasis
 from carleman.linalg import Matrix, identity, mat_mul, mat_vec
 from carleman.errors import ArityError, CarlemanError, SizeLimitError
 from carleman.poly import Monomial, Poly, affine_images, grlex_key
-from carleman.scalars import Mode, Scalar, lcm_sum, ordered_sum
+from carleman.scalars import Mode, Scalar, ordered_sum, over_lcm
 from carleman.solver import (ClosedFormSolution, ExpSum, VerificationReport,
                              VerificationRow, _FLOAT_CONSTANT_TOL,
                              _ORACLE_TERM_LIMIT, _clean_float_constants)
 from carleman.systems import (PolySystem, TransformParams, apply_affine,
                               reduce_depth)
+from carleman.triangular import _solve_column
 
 
 def dense(rows: Sequence[Dict[int, Scalar]], mode: Mode = Mode.EXACT) -> Matrix:
@@ -211,11 +216,24 @@ def compose_expansions(images: Sequence[Poly], monomials: Sequence[Monomial],
             .compose(images).terms for m in monomials]
 
 
+def lcm_sum(products: Sequence[Tuple[Fraction, Fraction]]) -> Tuple[int, int]:
+    """The sum of a * b over products as (numerator, L), with no Fraction
+    arithmetic: the integer products (an * bn, ad * bd) added over_lcm."""
+    pairs = []
+    for a, b in products:
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        pairs.append((an * bn, ad * bd))
+    numerators, common = over_lcm(pairs)
+    return sum(numerators), common
+
+
+
 def lcm_sum_combination(pairs: Iterable[Tuple[Scalar, Dict]],
                         mode: Mode) -> Dict:
     """The sum of factor * row over (factor, sparse row) pairs, without
     zero entries. A float entry adds its products in order onto zero; an
-    exact one is their scalars.lcm_sum, made one Fraction."""
+    exact one is their lcm_sum(), made one Fraction."""
     products: Dict = {}
     for factor, row in pairs:
         for key, x in row.items():
@@ -232,6 +250,64 @@ def lcm_sum_pullback(images, a_inv, p_rows, modal_inv, monomials, mode):
     c_rows = [lcm_sum_combination(zip(row, p_rows), mode) for row in a_inv]
     return c_rows, lambda j: lcm_sum_combination(
         ((x, expansions[l]) for l, x in modal_inv[j].items()), mode)
+
+
+def _reversed_rows(rows: Sequence[Dict[int, Scalar]]
+                   ) -> List[List[Tuple[int, Scalar]]]:
+    """_strict_columns of the anti-transpose M'[i][j] = M[n-1-j][n-1-i]:
+    a forward substitution along the rows of M is a back substitution
+    for _solve_column, index i standing for n-1-i."""
+    last = len(rows) - 1
+    return [[(last - c, value) for c, value in rows[last - b].items()
+             if c > last - b and value != 0] for b in range(len(rows))]
+
+
+def _solve_row(reversed_rows: List[List[Tuple[int, Fraction]]], r: int,
+               finish: Callable[[int, int, int], Fraction]) -> Dict[int, Fraction]:
+    """One exact row of a forward substitution along M, nonzeros only:
+    x[r] = 1 and, for c > r, x[c] = finish(c, acc, L) where acc / L is
+    the lcm_sum over j in [r, c) of x[j] M[j][c], and reversed_rows is
+    _reversed_rows(M). Columns come out ascending."""
+    last = len(reversed_rows) - 1
+    column = _solve_column(reversed_rows, last - r, Fraction(1), lambda b, products:
+                           finish(last - b, *lcm_sum(products)))
+    return {last - b: value for b, value in column.items()}
+
+
+
+def reachable(rows: Sequence[Dict[int, Scalar]],
+              start: Iterable[int]) -> set:
+    """The indices reachable from start along M[b][c] != 0, c > b, start
+    included, for M given by sparse rows."""
+    seen = set(start)
+    stack = list(seen)
+    while stack:
+        b = stack.pop()
+        for c, value in rows[b].items():
+            if c > b and value != 0 and c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
+def lcm_sum_decompose(matrix: Sequence[Dict[int, Fraction]],
+                      rows: Sequence[int]
+                      ) -> Tuple[List[Dict[int, Fraction]], List[Dict[int, Fraction]]]:
+    """Exact decompose before the reachability cut: (modal, modal_inv),
+    every row of P^-1 solved by _solve_row, then the rows of P named in
+    rows; the other rows of P are empty."""
+    n = len(matrix)
+    diagonal = [matrix[i].get(i, Fraction(0)) for i in range(n)]
+    nums = [x.numerator for x in diagonal]
+    dens = [x.denominator for x in diagonal]
+    by_row = _reversed_rows(matrix)
+    modal_inv = [_solve_row(by_row, j, lambda l, acc, common, j=j: Fraction(
+        acc * dens[j] * dens[l], common * (nums[j] * dens[l] - nums[l] * dens[j])))
+        for j in range(n)]
+    by_row = _reversed_rows(modal_inv)
+    modal = [_solve_row(by_row, r, lambda c, acc, common: Fraction(-acc, common))
+             if r in rows else {} for r in range(n)]
+    return modal, modal_inv
 
 
 def _identity_polys(system: PolySystem) -> List[Poly]:

@@ -229,6 +229,23 @@ def test_verify_unreadable_solution_scalar_exits_2(tmp_path, capsys, coeff):
     assert captured.err.startswith("error: ")
 
 
+def test_verify_solution_number_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # valid JSON, but Python refuses to convert integers of more than 4300
+    # digits, and its advice names a call the CLI user cannot make
+    path = write(tmp_path, LOGISTIC)
+    sol = tmp_path / "solution.json"
+    assert main(["solve", path, "--order", "3", "--format", "json",
+                 "--output", str(sol)]) == 0
+    data = json.loads(sol.read_text())
+    data["order"] = "ORDER"
+    sol.write_text(json.dumps(data).replace('"ORDER"', "9" * 5000))
+    code = main(["verify", path, "--order", "3", "--solution", str(sol)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: solution file: number too long (5000 digits)\n"
+
+
 def test_verify_negative_max_power_exits_2(tmp_path, capsys):
     code = main(["verify", write(tmp_path, COUPLED), "--max-power", "-1"])
     assert code == 2
@@ -530,6 +547,17 @@ def test_unreadable_inline_matrix_entry_exits_2(tmp_path, capsys, entry):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_inline_matrix_number_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # valid JSON, but Python refuses to convert integers of more than 4300
+    # digits, and its advice names a call the CLI user cannot make
+    code = main(["solve", write(tmp_path, COUPLED), "--order", "2",
+                 "--matrix-a", f"[[1,{'9' * 5000}],[0,1]]"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --matrix-a: number too long (5000 digits)\n"
 
 
 def test_unknown_flag_is_rejected(tmp_path, capsys):

@@ -32,7 +32,7 @@ from carleman.triangular import decompose
 
 from conftest import random_triangular_system
 from oracles import (compose_expansions, fraction_build_transition,
-                     lcm_sum_pullback)
+                     lcm_sum_decompose, lcm_sum_pullback, reachable)
 from test_pullback_oracle import conjugated_system, in_mode
 
 F = Fraction
@@ -147,6 +147,30 @@ def check_pullback(system, order, options):
     return True
 
 
+def check_decompose(system, order, options):
+    """Exact decompose of T with the variable rows requested against
+    lcm_sum_decompose: every row of P^-1 reachable from them and every
+    requested row of P equal, every other row of P^-1 empty; with
+    rows=None, all of P^-1 equal. Returns the number of unreachable
+    rows."""
+    opts = SolveOptions(order=order, **options)
+    _, transformed, _ = resolve_transform(system, opts)
+    basis = MonomialBasis(transformed.k, order)
+    var_rows = [basis.index_of(tuple(int(t == q) for t in range(basis.k)))
+                for q in range(basis.k)]
+    matrix = build_transition(transformed, basis).rows
+    want_modal, want_inv = lcm_sum_decompose(matrix, var_rows)
+    spec = decompose(matrix, Mode.EXACT, rows=var_rows)
+    reached = reachable(matrix, var_rows)
+    for j, (row, oracle) in enumerate(zip(spec.modal_inv, want_inv)):
+        same_items(row, oracle if j in reached else {})
+    for row, oracle in zip(spec.modal, want_modal):
+        same_items(row, oracle)
+    for row, oracle in zip(decompose(matrix, Mode.EXACT).modal_inv, want_inv):
+        same_items(row, oracle)
+    return len(matrix) - len(reached)
+
+
 def solution_json(system, order, mode, options):
     try:
         solution = solve(in_mode(system, mode),
@@ -176,6 +200,21 @@ def test_random_systems_match_fraction_routes():
             check_transition(system, order, mode, options)
         pulled += check_pullback(system, order, options)
     assert pulled == 8
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_named_cases_decompose_matches_lcm_sum_route(order):
+    cut = [check_decompose(system, order, options)
+           for _, system, options in named_cases()]
+    # the constant row is never reachable; tri3 leaves others too
+    assert min(cut) >= 1 and cut[2] > 1
+
+
+def test_random_systems_decompose_matches_lcm_sum_route():
+    rng = random.Random(5)
+    cut = sum(check_decompose(system, random_order(rng, system), options)
+              for _, system, options in random_cases(12, 16))
+    assert cut > 16
 
 
 @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])

@@ -7,10 +7,11 @@ the dense oracle cell for cell in both modes, and in float mode every
 nonzero cell must carry the same bits, signed zeros of its real or
 imaginary part included.
 
-Exact mode takes another route: P^-1's rows are solved from T as left
-eigenvectors and only the requested rows of P from P^-1. Exact values
-do not depend on the route, so those rows must still equal the dense
-oracle with ==, and the rows of P nobody asked for must be empty. That
+Exact mode takes another route: the rows of P^-1 reachable from the
+requested rows of P are solved from T as left eigenvectors, and only the
+requested rows of P from P^-1. Exact values do not depend on the route,
+so those rows must still equal the dense oracle with ==, and the rows of
+P nobody asked for, and the unreachable rows of P^-1, must be empty. That
 route adds its products as integers and makes one Fraction per entry,
 so no Fraction addition or multiplication may run inside it; nor in
 exact build_transition, nor in the pullback's C' and G'[j].
@@ -29,7 +30,8 @@ from carleman.scalars import Mode
 from carleman.solver import _integer_row
 from carleman.triangular import decompose, invert_unit_triangular
 
-from oracles import dense, dense_invert_triangular, dense_modal, sparse
+from oracles import (dense, dense_invert_triangular, dense_modal, reachable,
+                     sparse)
 from test_integer_core_oracle import pullback_args
 
 F = Fraction
@@ -148,12 +150,20 @@ def test_inverse_of_general_diagonal_matches_dense_oracle(mode):
 
 
 def check_requested_rows(matrix, rows, mode):
-    """decompose(rows=...) against the dense oracle: modal_inv complete,
-    the requested rows of modal equal, every other row empty."""
+    """decompose(rows=...) against the dense oracle: the requested rows of
+    modal equal, every other row empty. Float modal_inv is complete;
+    exact modal_inv equals the oracle on the rows reachable from rows and
+    is empty elsewhere, so the exact matrix is also checked whole with
+    rows=None."""
     spec = decompose(sparse(matrix), mode, rows=rows)
     modal = dense_modal(matrix, mode)
-    assert_same_cells(spec.modal_inv, dense_invert_triangular(modal, mode),
-                      mode)
+    inverse = dense_invert_triangular(modal, mode)
+    if mode is Mode.EXACT:
+        check_against_oracle(matrix, mode)
+        reached = reachable(sparse(matrix), rows)
+        inverse = [row if j in reached else [mode.zero] * len(row)
+                   for j, row in enumerate(inverse)]
+    assert_same_cells(spec.modal_inv, inverse, mode)
     assert len(spec.modal) == len(matrix)
     kept = [row if r in rows else [mode.zero] * len(row)
             for r, row in enumerate(modal)]
@@ -248,9 +258,10 @@ def test_sums_that_cancel_to_zero_are_not_stored():
 
 def test_exact_decompose_never_inverts(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("exact decompose inverted P")
+        raise AssertionError("exact decompose took the float route")
 
     monkeypatch.setattr(carleman.triangular, "invert_unit_triangular", refuse)
+    monkeypatch.setattr(carleman.triangular, "_solve_column", refuse)
     check_against_oracle(transition(TRI3, 4, Mode.EXACT), Mode.EXACT)
     check_requested_rows(transition(TRI3, 4, Mode.EXACT), [1, 2, 3],
                          Mode.EXACT)
@@ -285,7 +296,8 @@ def test_exact_core_runs_no_fraction_arithmetic(monkeypatch):
     spec = decompose(matrix, Mode.EXACT, rows=[1, 2, 3])
     combined = carleman.solver._combination(rows, Mode.EXACT)
     c_rows, column = carleman.solver._pullback(*args)
-    columns = [column(j) for j in range(len(args[3]))]
+    # the rows of P^-1 the tables read: the support of C'
+    columns = [column(j) for j in sorted(set().union(*c_rows))]
     assert counts == {}
     monkeypatch.undo()
     # the (0, 1) entry cancels and is not stored
@@ -297,6 +309,18 @@ def test_exact_core_runs_no_fraction_arithmetic(monkeypatch):
     assert sum(map(len, spec.modal_inv)) > 2 * len(matrix)
     assert all(spec.modal[r] for r in (1, 2, 3))
     assert all(c_rows) and all(columns)
+
+
+def test_exact_decompose_leaves_unreachable_rows_empty():
+    # rows 1..3 of the graded basis are x, y and z; from them T reaches
+    # 106 of the 220 monomials of degree at most 9
+    matrix = transition(TRI3, 9, Mode.EXACT)
+    spec = decompose(sparse(matrix), Mode.EXACT, rows=[1, 2, 3])
+    reached = reachable(sparse(matrix), [1, 2, 3])
+    empty = [j for j, row in enumerate(spec.modal_inv) if not row]
+    assert len(matrix) == 220 and len(reached) == 106
+    assert empty == [j for j in range(220) if j not in reached]
+    assert len(empty) == 114
 
 
 @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
