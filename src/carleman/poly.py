@@ -40,10 +40,6 @@ def grlex_key(monomial: Monomial):
     return (sum(monomial), tuple(-e for e in monomial))
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 class Poly:
     """Immutable-by-convention sparse polynomial."""
 
@@ -156,13 +152,17 @@ class Poly:
         terms: Dict[Monomial, Scalar] = {}
         # iterate the smaller operand outside; skip pairs past the cutoff early
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        b_items = sorted(b.terms.items(), key=lambda kv: sum(kv[0]))
+        # a stable sort on degree alone keeps b's order inside one degree
+        b_items = sorted(((sum(m), m, c) for m, c in b.terms.items()),
+                         key=operator.itemgetter(0))
+        cap = math.inf if max_degree is None else max_degree
+        add = operator.add
         for mono_a, coeff_a in a.terms.items():
-            deg_a = sum(mono_a)
-            for mono_b, coeff_b in b_items:
-                if max_degree is not None and deg_a + sum(mono_b) > max_degree:
+            room = cap - sum(mono_a)
+            for deg_b, mono_b, coeff_b in b_items:
+                if deg_b > room:
                     break
-                mono = monomial_mul(mono_a, mono_b)
+                mono = tuple(map(add, mono_a, mono_b))
                 acc = terms.get(mono, 0) + coeff_a * coeff_b
                 if acc == 0:
                     terms.pop(mono, None)
@@ -197,11 +197,7 @@ class Poly:
         for arg in arguments:
             if arg.var_count != inner_vars:
                 raise ArityError("argument polynomials disagree on variable count")
-        # a term whose product starts above the cutoff adds nothing
-        lowest = None if max_degree is None else [
-            min(map(sum, arg.terms), default=max_degree + 1) for arg in arguments]
-        kept = [(mono, coeff) for mono, coeff in self.terms.items()
-                if not (lowest and sum(map(operator.mul, mono, lowest)) > max_degree)]
+        kept = within_cutoff(self.terms.items(), arguments, max_degree)
         out = Poly.zero(inner_vars)
         for piece in power_products(kept, arguments, max_degree):
             out = out + piece
@@ -258,6 +254,47 @@ def power_products(terms: Iterable[Tuple[Monomial, Scalar]],
                     powers[s, e] = factors[s].pow_truncated(e, max_degree)
                 piece = piece.mul_truncated(powers[s, e], max_degree)
         yield piece
+
+
+def within_cutoff(terms: Iterable[Tuple[Monomial, Scalar]],
+                  arguments: Sequence[Poly], max_degree: Optional[int]
+                  ) -> List[Tuple[Monomial, Scalar]]:
+    """The (m, c) of terms whose product prod_s arguments[s]**m[s] can
+    reach degree max_degree or below: a product that starts above the
+    cutoff adds nothing."""
+    if max_degree is None:
+        return list(terms)
+    lowest = [min(map(sum, arg.terms), default=max_degree + 1) for arg in arguments]
+    return [(mono, coeff) for mono, coeff in terms
+            if sum(map(operator.mul, mono, lowest)) <= max_degree]
+
+
+def compose_shared(polys: Sequence[Poly], arguments: Sequence[Poly],
+                   max_degree: Optional[int] = None) -> List[Poly]:
+    """[p.compose(arguments, max_degree) for p in polys] for exact (or
+    integer) coefficients: each distinct monomial's product
+    prod_s arguments[s]**m[s] is formed once, by one mul_truncated from
+    its prefix m - e_s (s its last nonzero slot), and shared by every p
+    that uses it. Float sums would round in another order than compose's."""
+    k = arguments[0].var_count
+    constant = (0,) * len(arguments)
+    products: Dict[Monomial, Poly] = {constant: Poly._trusted(k, {(0,) * k: 1})}
+
+    def product(mono: Monomial) -> Poly:
+        if mono not in products:
+            s = max(t for t, e in enumerate(mono) if e)
+            prefix = mono[:s] + (mono[s] - 1,) + mono[s + 1:]
+            products[mono] = product(prefix).mul_truncated(arguments[s], max_degree)
+        return products[mono]
+
+    out = []
+    for p in polys:
+        terms: Dict[Monomial, Scalar] = {}
+        for mono, coeff in within_cutoff(p.terms.items(), arguments, max_degree):
+            for m, c in product(mono).terms.items():
+                terms[m] = terms.get(m, 0) + coeff * c
+        out.append(Poly._trusted(k, {m: c for m, c in terms.items() if c != 0}))
+    return out
 
 
 def integer_scaled(polys: Sequence[Poly]) -> Tuple[List[Poly], int]:

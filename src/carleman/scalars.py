@@ -9,6 +9,8 @@ integer exponents, which is all the algebra below ever needs.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
@@ -38,8 +40,11 @@ class Mode(Enum):
             # integer true division rounds once, like float(value)
             return complex(value.numerator / value.denominator)
         except OverflowError:
-            raise CarlemanError(
-                f"coefficient {value} overflows double precision") from None
+            # named by its size: the digits of a huge value may pass Python's
+            # limit on integer string conversion
+            size = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+            raise CarlemanError(f"coefficient of about 1e{round(size)} "
+                                f"overflows double precision") from None
 
     def matches(self, value: Scalar) -> bool:
         if self is Mode.EXACT:
@@ -104,13 +109,38 @@ def scalar_to_json(value: Scalar):
     return [value.real, value.imag]
 
 
+def _cut(text: str, chars: int = 24) -> str:
+    """text cut to a short prefix, so an error message never quotes a
+    long literal in full."""
+    return text if len(text) <= chars else text[:chars] + "..."
+
+
+def _echo(value) -> str:
+    return repr(_cut(value)) if isinstance(value, str) else _cut(repr(value))
+
+
+def _check_length(text: str) -> None:
+    """After Fraction refused text: a run of digits past Python's limit on
+    integer digits is reported by its length, as cli._read_json does."""
+    limit = sys.get_int_max_str_digits()
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if limit and longest > limit:
+        raise CarlemanError(f"cannot read {_echo(text)} as a scalar: "
+                            f"number too long ({longest} digits)")
+
+
 def scalar_from_json(mode: Mode, value) -> Scalar:
     """Inverse of scalar_to_json; also tolerant of bare JSON numbers. A
-    value that is no scalar raises CarlemanError."""
+    value that is no scalar raises CarlemanError, quoting at most a short
+    prefix of it."""
+    if isinstance(value, float) and math.isinf(value):
+        # json reads a number past the double range, such as 1e400, as inf
+        raise CarlemanError("cannot read a JSON number as a scalar: number "
+                            "out of range (magnitude above 1.8e308)")
     try:
         if mode is Mode.EXACT:
             if isinstance(value, bool) or isinstance(value, (list, tuple, dict)):
-                raise CarlemanError(f"cannot read {value!r} as an exact scalar")
+                raise CarlemanError(f"cannot read {_echo(value)} as an exact scalar")
             if isinstance(value, float):
                 # decimal text keeps user intent; binary floats would surprise
                 return Fraction(repr(value))
@@ -123,7 +153,10 @@ def scalar_from_json(mode: Mode, value) -> Scalar:
             return complex(Fraction(value))
         return complex(value)
     except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
-        raise CarlemanError(f"cannot read {value!r} as a scalar: {exc}") from exc
+        if isinstance(value, str):
+            _check_length(value)
+        raise CarlemanError(f"cannot read {_echo(value)} as a scalar: "
+                            f"{_cut(str(exc), 72)}") from exc
 
 
 def parse_scalar_text(mode: Mode, text: str) -> Scalar:
@@ -132,5 +165,6 @@ def parse_scalar_text(mode: Mode, text: str) -> Scalar:
     try:
         frac = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CarlemanError(f"cannot parse scalar {text!r}") from exc
+        _check_length(text)
+        raise CarlemanError(f"cannot parse scalar {_echo(text)}") from exc
     return mode.from_fraction(frac)

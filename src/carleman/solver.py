@@ -42,8 +42,8 @@ from .errors import (ArityError, CarlemanError, NotShiftedError,
                      RepeatedEigenvalueError, ShiftNotFoundError,
                      SizeLimitError, TriangularizationError)
 from .linalg import is_upper_triangular, mat_vec, max_abs
-from .poly import (Monomial, Poly, affine_images, grlex_key, integer_scaled,
-                   power_products)
+from .poly import (Monomial, Poly, affine_images, compose_shared, grlex_key,
+                   integer_scaled, power_products)
 from .scalars import (Mode, Scalar, format_scalar, nearly_equal, over_lcm,
                       scalar_from_json, scalar_to_json, sort_key)
 from .systems import (AdmissibilityReport, PolySystem, TransformParams,
@@ -714,14 +714,16 @@ def _integer_system(system: PolySystem, denominator: int
 def _oracle_step(system: PolySystem, state: _OracleState,
                  max_degree: Optional[int]) -> _OracleState:
     """Compose the update map with the state, dropping degrees above
-    max_degree. Exact states stay integer and are reduced by the gcd of
-    the new denominator and all numerator coefficients."""
+    max_degree. Exact states stay integer: every distinct monomial of the
+    integer update polynomials gets its truncated state product once per
+    step, shared by all k equations (poly.compose_shared), and the result
+    is reduced by the gcd of the new denominator and all numerator
+    coefficients. Float states compose each equation with Poly.compose."""
     if isinstance(state, _ScaledState):
         polys, denominator = _integer_system(system, state.denominator)
-        arguments = state.numerators
+        new_state = compose_shared(polys, state.numerators, max_degree)
     else:
-        polys, arguments = system.polys, state
-    new_state = [p.compose(arguments, max_degree) for p in polys]
+        new_state = [p.compose(state, max_degree) for p in system.polys]
     total_terms = sum(len(p.terms) for p in new_state)
     if total_terms > _ORACLE_TERM_LIMIT:
         raise SizeLimitError(
@@ -862,9 +864,12 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     carries a nonzero offset (coefficients are exact there) and in the
     original coordinates otherwise. Exact mode demands equality and
     computes both sides in integers: the oracle as integer polynomials
-    over one shared denominator, the closed form from one table of
-    integer powers (_exact_table_values), with one Fraction per side of
-    each compared cell. Float mode allows relative error up to tol.
+    over one shared denominator, each step forming every distinct
+    monomial's truncated state product once for all k equations
+    (_oracle_step), the closed form from one table of integer powers
+    (_exact_table_values), with one Fraction per side of each compared
+    cell. Float mode composes each equation with Poly.compose and allows
+    relative error up to tol.
     """
     steps = solution.order if max_power is None else max_power
     if steps < 0:

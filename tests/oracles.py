@@ -13,6 +13,12 @@ It is the exact-mode oracle for the single assembly formula in
 solver._assemble. fraction_verify() is verify() with the oracle iterated
 in Fraction (or complex) polynomials and every cell evaluated by
 ExpSum.evaluate, the oracle for the integer evaluation of exact verify.
+compose_scaled_step() is the exact oracle step before the shared
+products: one Poly.compose per equation on the integer state. It is the
+oracle for poly.compose_shared in solver._oracle_step.
+pairwise_mul_truncated() is Poly.mul_truncated before it sorted
+(degree, monomial, coefficient) triples once; the two must give the same
+terms in the same order, float bits included.
 fraction_build_transition() builds T from Fraction (or complex) products,
 compose_expansions() expands each basis monomial through the pullback
 images with one Poly.compose, and lcm_sum_combination() sums a pullback
@@ -47,7 +53,8 @@ from carleman.poly import Monomial, Poly, affine_images, grlex_key
 from carleman.scalars import Mode, Scalar, ordered_sum, over_lcm
 from carleman.solver import (ClosedFormSolution, ExpSum, VerificationReport,
                              VerificationRow, _FLOAT_CONSTANT_TOL,
-                             _ORACLE_TERM_LIMIT, _clean_float_constants)
+                             _ORACLE_TERM_LIMIT, _ScaledState,
+                             _clean_float_constants, _integer_system)
 from carleman.systems import (PolySystem, TransformParams, apply_affine,
                               reduce_depth)
 from carleman.triangular import _solve_column
@@ -324,6 +331,49 @@ def _oracle_step(system: PolySystem, state: List[Poly],
             f"symbolic iteration exceeded {_ORACLE_TERM_LIMIT} terms; "
             f"lower the step count or the degree cutoff")
     return new_state
+
+
+def compose_scaled_step(system: PolySystem, state: _ScaledState,
+                        max_degree: Optional[int]) -> _ScaledState:
+    """The exact branch of solver._oracle_step before the shared
+    products: each integer update polynomial composed with the state by
+    its own Poly.compose, so each builds its own powers of the state."""
+    polys, denominator = _integer_system(system, state.denominator)
+    arguments = state.numerators
+    new_state = [p.compose(arguments, max_degree) for p in polys]
+    total_terms = sum(len(p.terms) for p in new_state)
+    if total_terms > _ORACLE_TERM_LIMIT:
+        raise SizeLimitError(
+            f"symbolic iteration exceeded {_ORACLE_TERM_LIMIT} terms; "
+            f"lower the step count or the degree cutoff")
+    return _ScaledState.reduced(new_state, denominator)
+
+
+def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def pairwise_mul_truncated(self: Poly, other: Poly,
+                           max_degree: Optional[int] = None) -> Poly:
+    """Poly.mul_truncated before it sorted (degree, monomial, coefficient)
+    triples once: every pair sums its degrees and zips its monomials."""
+    self._check_arity(other)
+    terms: Dict[Monomial, Scalar] = {}
+    # iterate the smaller operand outside; skip pairs past the cutoff early
+    a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+    b_items = sorted(b.terms.items(), key=lambda kv: sum(kv[0]))
+    for mono_a, coeff_a in a.terms.items():
+        deg_a = sum(mono_a)
+        for mono_b, coeff_b in b_items:
+            if max_degree is not None and deg_a + sum(mono_b) > max_degree:
+                break
+            mono = monomial_mul(mono_a, mono_b)
+            acc = terms.get(mono, 0) + coeff_a * coeff_b
+            if acc == 0:
+                terms.pop(mono, None)
+            else:
+                terms[mono] = acc
+    return Poly._trusted(self.var_count, terms)
 
 
 def fraction_verify(solution: ClosedFormSolution, system: PolySystem,

@@ -560,6 +560,56 @@ def test_inline_matrix_number_past_the_digit_limit_exits_2(tmp_path, capsys):
     assert captured.err == "error: --matrix-a: number too long (5000 digits)\n"
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_matrix_string_past_the_digit_limit_is_named_by_its_length(
+        tmp_path, capsys, mode):
+    # a JSON string entry reaches Fraction, not the integer hook
+    code = main(["solve", write(tmp_path, COUPLED), "--order", "2",
+                 "--mode", mode, "--matrix-a", f'[[1,"{"9" * 5000}"],[0,1]]'])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read '{'9' * 24}...' as a scalar: "
+                            "number too long (5000 digits)\n")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_shift_past_the_digit_limit_is_named_by_its_length(
+        tmp_path, capsys, mode):
+    code = main(["solve", write(tmp_path, COUPLED), "--order", "2",
+                 "--mode", mode, "--shift", "9" * 5000 + ",0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read '{'9' * 24}...' as a scalar: "
+                            "number too long (5000 digits)\n")
+
+
+def test_float_shift_past_the_double_range_exits_2(tmp_path, capsys):
+    # its digits pass the limit too, so the message names its size
+    code = main(["solve", write(tmp_path, COUPLED), "--order", "2",
+                 "--mode", "float", "--shift", "1e5000,0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: coefficient of about 1e5000 overflows "
+                            "double precision\n")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_matrix_number_past_the_double_range_is_out_of_range(
+        tmp_path, capsys, mode):
+    # json reads 1e400 as inf, a value the user never wrote
+    code = main(["solve", write(tmp_path, COUPLED), "--order", "2",
+                 "--mode", mode, "--matrix-a", "[[1,1e400],[0,1]]"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot read a JSON number as a scalar: "
+                            "number out of range (magnitude above 1.8e308)\n")
+    assert "inf" not in captured.err
+
+
 def test_unknown_flag_is_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", write(tmp_path, LOGISTIC), "--frobnicate"])

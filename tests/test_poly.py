@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from carleman import ArityError, ZeroPolynomialError
 from carleman.poly import (
-    Poly, affine_images, complex_roots, grlex_key, rational_roots,
-    univariate_coeffs,
+    Poly, affine_images, complex_roots, compose_shared, grlex_key,
+    rational_roots, univariate_coeffs,
 )
+
+from oracles import pairwise_mul_truncated
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 monos2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -105,6 +107,23 @@ def test_mul_truncation_commutes(a, b, cap):
                  if sum(m) <= cap})
 
 
+def as_float(p: Poly) -> Poly:
+    return Poly(p.var_count, {m: complex(c) for m, c in p.terms.items()})
+
+
+@given(poly2, poly2, st.one_of(st.none(), st.integers(0, 6)), st.booleans())
+def test_mul_matches_pairwise_loop(a, b, cap, floating):
+    # the same terms in the same order, so float sums keep every bit
+    if floating:
+        a, b = as_float(a), as_float(b)
+    got = a.mul_truncated(b, cap)
+    want = pairwise_mul_truncated(a, b, cap)
+    assert repr(got) == repr(want)
+    assert list(got.terms) == list(want.terms)
+    assert [repr(c) for c in got.terms.values()] == \
+        [repr(c) for c in want.terms.values()]
+
+
 @given(poly2, st.integers(0, 3), st.integers(0, 3))
 def test_pow_splits_multiplicatively(p, a, b):
     lhs = p.pow_truncated(a + b)
@@ -173,6 +192,29 @@ def test_compose_skips_terms_that_start_above_the_cutoff(monkeypatch):
     # multiplying a piece for every nonconstant term takes 48 calls; only
     # the 6 terms with a + 2b <= 3 need any
     assert len(calls) < len(p.terms) - 1
+
+
+def test_compose_shared_matches_compose_and_skips_past_the_cutoff(monkeypatch):
+    p = Poly(2, {(a, b): Fraction(a - b + 7) for a in range(7)
+                 for b in range(7)})
+    q = Poly(2, {(a, 0): Fraction(a + 1) for a in range(5)})
+    args = [Poly(2, {(1, 0): Fraction(1), (0, 1): Fraction(2)}),
+            Poly(2, {(1, 1): Fraction(-1), (0, 2): Fraction(3)})]
+    for cap in (None, 3, 6):
+        assert compose_shared([p, q], args, cap) == \
+            [p.compose(args, cap), q.compose(args, cap)]
+    calls = []
+    multiply = Poly.mul_truncated
+
+    def counting(self, other, max_degree=None):
+        calls.append(max_degree)
+        return multiply(self, other, max_degree)
+
+    monkeypatch.setattr(Poly, "mul_truncated", counting)
+    compose_shared([p, q], args, 3)
+    # one product per monomial x0^a * x1^b with a + 2b <= 3, the
+    # constant aside: (1, 0), (2, 0), (3, 0) and (0, 1), (1, 1)
+    assert len(calls) == 5
 
 
 # -- evaluation and calculus ------------------------------------------------------
