@@ -56,6 +56,8 @@ class Mode(Enum):
 _EXACT_ZERO = Fraction(0)
 _EXACT_ONE = Fraction(1)
 
+_INTEGER_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
 
 def over_lcm(pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
     """Integer fractions (n, d), d > 0, over their lcm L: the numerators
@@ -73,10 +75,10 @@ def ordered_sum(products: Sequence[Tuple[Scalar, Scalar]], zero: Scalar) -> Scal
 
 
 def sort_key(value: Scalar):
-    """Deterministic ordering key; exact values sort numerically,
-    floats by magnitude then phase."""
+    """Deterministic ordering key; an exact value is its own key, floats
+    sort by magnitude then phase."""
     if isinstance(value, Fraction):
-        return (value,)
+        return value
     return (abs(value), math.atan2(value.imag, value.real), value.real, value.imag)
 
 
@@ -120,8 +122,8 @@ def _echo(value) -> str:
 
 
 def _check_length(text: str) -> None:
-    """After Fraction refused text: a run of digits past Python's limit on
-    integer digits is reported by its length, as cli._read_json does."""
+    """After Fraction or int refused text: a digit run past Python's limit
+    is reported by its length, as cli._read_json does."""
     limit = sys.get_int_max_str_digits()
     longest = max(map(len, re.findall(r"\d+", text)), default=0)
     if limit and longest > limit:
@@ -129,16 +131,26 @@ def _check_length(text: str) -> None:
                             f"number too long ({longest} digits)")
 
 
+def _finite(number: float) -> float:
+    """number, refused if json read it as nan or inf (also for 1e400)."""
+    if not math.isfinite(number):
+        reason = ("not a number" if math.isnan(number) else
+                  "number out of range (magnitude above 1.8e308)")
+        raise CarlemanError(f"cannot read a JSON number as a scalar: {reason}")
+    return number
+
+
 def scalar_from_json(mode: Mode, value) -> Scalar:
     """Inverse of scalar_to_json; also tolerant of bare JSON numbers. A
     value that is no scalar raises CarlemanError, quoting at most a short
-    prefix of it."""
-    if isinstance(value, float) and math.isinf(value):
-        # json reads a number past the double range, such as 1e400, as inf
-        raise CarlemanError("cannot read a JSON number as a scalar: number "
-                            "out of range (magnitude above 1.8e308)")
+    prefix of it. Exact text 'n' or 'n/d' is read as two integers, which
+    fail as Fraction(text) would."""
+    if isinstance(value, float):
+        _finite(value)
     try:
         if mode is Mode.EXACT:
+            if isinstance(value, str) and (match := _INTEGER_RATIO(value)):
+                return Fraction(int(match[1]), int(match[2] or 1))
             if isinstance(value, bool) or isinstance(value, (list, tuple, dict)):
                 raise CarlemanError(f"cannot read {_echo(value)} as an exact scalar")
             if isinstance(value, float):
@@ -148,7 +160,7 @@ def scalar_from_json(mode: Mode, value) -> Scalar:
         if isinstance(value, (list, tuple)):
             if len(value) != 2:
                 raise CarlemanError(f"float scalar pair must have 2 entries, got {len(value)}")
-            return complex(float(value[0]), float(value[1]))
+            return complex(_finite(float(value[0])), _finite(float(value[1])))
         if isinstance(value, str):
             return complex(Fraction(value))
         return complex(value)

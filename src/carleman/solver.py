@@ -30,6 +30,7 @@ denominator. Each side of a compared coefficient becomes one Fraction.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -79,17 +80,17 @@ class ExpSum:
     @classmethod
     def from_terms(cls, mode: Mode,
                    pairs: Sequence[Tuple[Scalar, Scalar]]) -> "ExpSum":
-        """Canonical sum of (base, coeff) pairs."""
+        """Canonical sum of (base, coeff) pairs; zeros go by truthiness."""
         merged: List[List[Scalar]] = []
         for base, coeff in sorted(pairs, key=lambda bc: sort_key(bc[0])):
             if merged and nearly_equal(merged[-1][0], base, _FLOAT_MERGE_TOL):
                 merged[-1][1] = merged[-1][1] + coeff
             else:
                 merged.append([base, coeff])
-        drop = 0 if mode is Mode.EXACT else _FLOAT_COEFF_DROP * max(
+        drop = None if mode is Mode.EXACT else _FLOAT_COEFF_DROP * max(
             1.0, max((abs(c) for _, c in merged), default=0.0))
         return cls(mode=mode, terms=tuple(
-            (b, c) for b, c in merged if abs(c) > drop))
+            (b, c) for b, c in merged if c and (drop is None or abs(c) > drop)))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -120,10 +121,11 @@ class ExpSum:
                 for b, c in self.terms]
 
     @classmethod
-    def from_json(cls, mode: Mode, data) -> "ExpSum":
-        pairs = [(scalar_from_json(mode, t["base"]),
-                  scalar_from_json(mode, t["coeff"])) for t in data]
-        return cls.from_terms(mode, pairs)
+    def from_json(cls, mode: Mode, data, read=None) -> "ExpSum":
+        """Inverse of to_json; read reads one scalar (scalar_from_json)."""
+        read = read or functools.partial(scalar_from_json, mode)
+        return cls.from_terms(mode, [(read(t["base"]), read(t["coeff"]))
+                                     for t in data])
 
 
 def _split_sign(value: Scalar) -> Tuple[str, Scalar]:
@@ -256,19 +258,21 @@ class ClosedFormSolution:
 
     @classmethod
     def from_json(cls, data: dict) -> "ClosedFormSolution":
+        """Inverse of to_json. A transformed entry equal to its variables
+        entry, as under an identity transform, shares its table."""
         try:
             mode = Mode(data["mode"])
             order = int(data["order"])
+            read = _scalar_reader(mode)
             names = tuple(entry["name"] for entry in data["variables"])
-            offsets = tuple(scalar_from_json(mode, entry["offset"])
-                            for entry in data["variables"])
-            tables = _tables_from_json(mode, data["variables"])
-            matrix = [[scalar_from_json(mode, x) for x in row]
-                      for row in data["transform"]["A"]]
-            offset = [scalar_from_json(mode, x) for x in data["transform"]["B"]]
+            offsets = tuple(read(entry["offset"]) for entry in data["variables"])
+            tables = _tables_from_json(mode, read, data["variables"])
+            matrix = [[read(x) for x in row] for row in data["transform"]["A"]]
+            offset = [read(x) for x in data["transform"]["B"]]
             transform = TransformParams.create(matrix, offset, mode)
             if "transformed" in data:
-                transformed = _tables_from_json(mode, data["transformed"])
+                transformed = _tables_from_json(mode, read, data["transformed"],
+                                                data["variables"], tables)
             elif transform.is_identity():
                 transformed = tables
             else:
@@ -287,9 +291,23 @@ def _table_to_json(table: Dict[Monomial, ExpSum]) -> list:
             for mono in sorted(table, key=grlex_key)]
 
 
-def _tables_from_json(mode: Mode, entries) -> Tuple[Dict[Monomial, ExpSum], ...]:
-    return tuple({tuple(term["monomial"]): ExpSum.from_json(mode, term["expsum"])
-                  for term in entry["terms"]} for entry in entries)
+def _scalar_reader(mode: Mode) -> Callable[[object], Scalar]:
+    """scalar_from_json in mode, reading each distinct string once; the memo
+    lives as long as the returned function, one ClosedFormSolution.from_json."""
+    text = functools.cache(functools.partial(scalar_from_json, mode))
+    return lambda value: (text(value) if isinstance(value, str)
+                          else scalar_from_json(mode, value))
+
+
+def _tables_from_json(mode: Mode, read, entries, known_entries=(),
+                      known_tables=()) -> Tuple[Dict[Monomial, ExpSum], ...]:
+    """Entry p's table; known_tables[p] if it has known_entries[p]'s terms."""
+    return tuple(
+        known_tables[p]
+        if p < len(known_entries) and entry["terms"] == known_entries[p]["terms"]
+        else {tuple(term["monomial"]): ExpSum.from_json(mode, term["expsum"], read)
+              for term in entry["terms"]}
+        for p, entry in enumerate(entries))
 
 
 def _render_initial_monomial(mono: Monomial, names: Sequence[str]) -> str:

@@ -40,6 +40,13 @@ coordinate of the stacked Kronecker power vector, matrix_power() is the
 dense power of a transition matrix, determinant() is Gaussian
 elimination, and apply_point() maps a point into a transform's primed
 coordinates.
+
+solution_from_json() is ClosedFormSolution.from_json before it read each
+distinct scalar string once and shared a transformed table equal to its
+variables table: every scalar through scalar_from_json, both tables read
+in full, and each cell canonicalised by expsum_from_terms(), once
+ExpSum.from_terms, sorting bases by the 1-tuple key tuple_sort_key(). It
+is the oracle for the stored-solution reader, results and errors alike.
 """
 
 import math
@@ -50,9 +57,11 @@ from carleman.embedding import CarlemanMatrix, MonomialBasis
 from carleman.linalg import Matrix, identity, mat_mul, mat_vec
 from carleman.errors import ArityError, CarlemanError, SizeLimitError
 from carleman.poly import Monomial, Poly, affine_images, grlex_key
-from carleman.scalars import Mode, Scalar, ordered_sum, over_lcm
+from carleman.scalars import (Mode, Scalar, nearly_equal, ordered_sum,
+                              over_lcm, scalar_from_json)
 from carleman.solver import (ClosedFormSolution, ExpSum, VerificationReport,
-                             VerificationRow, _FLOAT_CONSTANT_TOL,
+                             VerificationRow, _FLOAT_COEFF_DROP,
+                             _FLOAT_CONSTANT_TOL, _FLOAT_MERGE_TOL,
                              _ORACLE_TERM_LIMIT, _ScaledState,
                              _clean_float_constants, _integer_system)
 from carleman.systems import (PolySystem, TransformParams, apply_affine,
@@ -634,3 +643,64 @@ def apply_point(params: TransformParams, point: Sequence[Scalar]) -> List[Scalar
     """The primed coordinates matrix (point - offset) of a point."""
     shifted = [x - b for x, b in zip(point, params.offset)]
     return mat_vec(params.matrix, shifted)
+
+
+def tuple_sort_key(value: Scalar):
+    """Deterministic ordering key; exact values sort numerically,
+    floats by magnitude then phase."""
+    if isinstance(value, Fraction):
+        return (value,)
+    return (abs(value), math.atan2(value.imag, value.real), value.real, value.imag)
+
+
+def expsum_from_terms(mode: Mode,
+                      pairs: Sequence[Tuple[Scalar, Scalar]]) -> ExpSum:
+    """Canonical sum of (base, coeff) pairs."""
+    merged: List[List[Scalar]] = []
+    for base, coeff in sorted(pairs, key=lambda bc: tuple_sort_key(bc[0])):
+        if merged and nearly_equal(merged[-1][0], base, _FLOAT_MERGE_TOL):
+            merged[-1][1] = merged[-1][1] + coeff
+        else:
+            merged.append([base, coeff])
+    drop = 0 if mode is Mode.EXACT else _FLOAT_COEFF_DROP * max(
+        1.0, max((abs(c) for _, c in merged), default=0.0))
+    return ExpSum(mode=mode, terms=tuple(
+        (b, c) for b, c in merged if abs(c) > drop))
+
+
+def expsum_from_json(mode: Mode, data) -> ExpSum:
+    pairs = [(scalar_from_json(mode, t["base"]),
+              scalar_from_json(mode, t["coeff"])) for t in data]
+    return expsum_from_terms(mode, pairs)
+
+
+def tables_from_json(mode: Mode, entries) -> Tuple[Dict[Monomial, ExpSum], ...]:
+    return tuple({tuple(term["monomial"]): expsum_from_json(mode, term["expsum"])
+                  for term in entry["terms"]} for entry in entries)
+
+
+def solution_from_json(data: dict) -> ClosedFormSolution:
+    try:
+        mode = Mode(data["mode"])
+        order = int(data["order"])
+        names = tuple(entry["name"] for entry in data["variables"])
+        offsets = tuple(scalar_from_json(mode, entry["offset"])
+                        for entry in data["variables"])
+        tables = tables_from_json(mode, data["variables"])
+        matrix = [[scalar_from_json(mode, x) for x in row]
+                  for row in data["transform"]["A"]]
+        offset = [scalar_from_json(mode, x) for x in data["transform"]["B"]]
+        transform = TransformParams.create(matrix, offset, mode)
+        if "transformed" in data:
+            transformed = tables_from_json(mode, data["transformed"])
+        elif transform.is_identity():
+            transformed = tables
+        else:
+            raise CarlemanError(
+                "solution file lacks the transformed-coordinate table "
+                "needed to verify a shifted solution")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CarlemanError(f"malformed solution JSON: {exc}") from exc
+    return ClosedFormSolution(names=names, offsets=offsets, tables=tables,
+                              transformed=transformed, transform=transform,
+                              order=order, mode=mode)

@@ -6,6 +6,7 @@ path runs exactly as a shell invocation would.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ COUPLED = (
     "vars: u, v\n"
     "u[i] = 8*u[i-1] + 10*v[i-1] + u[i-1]^2 + 3*u[i-1]*v[i-1] + v[i-1]^2\n"
     "v[i] = -3*u[i-1] - 3*v[i-1] + u[i-1]^2 - u[i-1]*v[i-1] + v[i-1]^2\n")
+SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 
 def write(tmp_path, text, name="system.rec"):
@@ -244,6 +246,64 @@ def test_verify_solution_number_past_the_digit_limit_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: solution file: number too long (5000 digits)\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("sample, matrix", [
+    ("coupled_quadratic.rec", None), ("coupled_quadratic.rec", "[[1,2],[-3,-5]]"),
+    ("logistic_r2.rec", None), ("logistic_r2.rec", "[[3]]")],
+    ids=["coupled", "coupled-A", "logistic", "logistic-A"])
+def test_verify_stored_solution_prints_what_verify_prints(tmp_path, capsys,
+                                                          sample, matrix, mode):
+    # float coupled verify fails at the default order (exit 3) both ways
+    flags = [str(SAMPLES / sample), "--mode", mode]
+    if matrix is not None:
+        flags += ["--matrix-a", matrix]
+    sol = tmp_path / "solution.json"
+    assert main(["solve", *flags, "--format", "json", "--output", str(sol)]) == 0
+    capsys.readouterr()
+    code = main(["verify", *flags])
+    fresh = capsys.readouterr().out
+    assert main(["verify", *flags, "--solution", str(sol)]) == code
+    assert capsys.readouterr().out == fresh
+    assert code in (0, 3)
+
+
+@pytest.mark.parametrize("matrix, reason", [
+    ("[[[1,0],[1e400,0]],[[0,0],[1,0]]]",
+     "number out of range (magnitude above 1.8e308)"),
+    ("[[[1,0],[0,-1e400]],[[0,0],[1,0]]]",
+     "number out of range (magnitude above 1.8e308)"),
+    ("[[[1,0],[NaN,0]],[[0,0],[1,0]]]", "not a number"),
+    ("[[1,NaN],[0,1]]", "not a number"),
+], ids=["pair-1e400", "pair-imag-1e400", "pair-NaN", "bare-NaN"])
+def test_float_non_finite_matrix_entry_is_named(tmp_path, capsys, matrix,
+                                                reason):
+    # json reads these as inf or nan; they used to pass as scalars and fail
+    # later with an unrelated admissibility message
+    code = main(["solve", write(tmp_path, COUPLED), "--order", "2",
+                 "--mode", "float", "--matrix-a", matrix])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read a JSON number as a scalar: {reason}\n"
+
+
+@pytest.mark.parametrize("value", ["[NaN, 0.0]", "[0.0, 1e400]", "NaN"])
+def test_float_solution_with_non_finite_scalar_exits_2(tmp_path, capsys, value):
+    path = write(tmp_path, LOGISTIC)
+    sol = tmp_path / "solution.json"
+    assert main(["solve", path, "--order", "3", "--mode", "float",
+                 "--format", "json", "--output", str(sol)]) == 0
+    data = json.loads(sol.read_text())
+    data["variables"][0]["terms"][0]["expsum"][0]["coeff"] = "COEFF"
+    sol.write_text(json.dumps(data).replace('"COEFF"', value))
+    code = main(["verify", path, "--order", "3", "--mode", "float",
+                 "--solution", str(sol)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read a JSON number as a scalar: ")
 
 
 def test_verify_negative_max_power_exits_2(tmp_path, capsys):

@@ -97,3 +97,48 @@ def test_parse_scalar_text():
         parse_scalar_text(Mode.EXACT, "two")
     with pytest.raises(CarlemanError):
         parse_scalar_text(Mode.EXACT, "1/0")
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-0", "7", "-12/18", "0012/0003", "1/0", "-5/0", "0/0", "1/-2",
+    "--1", "1/2/3", "1.5", "1e3", " 3", "3 ", "+3", "1_000", "٣", "",
+    "-", "/2", "2/", "9" * 5000, "1/" + "9" * 5000, "-" + "9" * 4300])
+def test_exact_text_reads_as_fraction_would(text):
+    # 'n' and 'n/d' are read as two integers; every text must give what
+    # Fraction(text) gives, and each refusal the message it gave
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(CarlemanError) as refused:
+            scalar_from_json(Mode.EXACT, text)
+        if len(text) > 4300:
+            assert "number too long" in str(refused.value)
+        else:
+            assert str(refused.value) == f"cannot read {text!r} as a scalar: {exc}"
+        return
+    value = scalar_from_json(Mode.EXACT, text)
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator) == (
+        expected.numerator, expected.denominator)
+
+
+BARE_NON_FINITE = [(float("nan"), "not a number"),
+                   (float("inf"), "number out of range"),
+                   (float("-inf"), "number out of range")]
+PAIR_NON_FINITE = [([float("nan"), 0.0], "not a number"),
+                   ([0.0, float("-inf")], "number out of range"),
+                   (["inf", 0], "number out of range")]
+
+
+@pytest.mark.parametrize("mode, value, reason",
+                         [(Mode.EXACT, *case) for case in BARE_NON_FINITE]
+                         + [(Mode.FLOAT, *case)
+                            for case in BARE_NON_FINITE + PAIR_NON_FINITE])
+def test_non_finite_json_numbers_are_named(mode, value, reason):
+    with pytest.raises(CarlemanError, match=f"as a scalar: {reason}"):
+        scalar_from_json(mode, value)
+
+
+def test_float_pairs_that_solve_writes_read_back():
+    for value in (complex(0.5, -2.0), complex(-1e308, 5e-324), complex(0.0, -0.0)):
+        assert repr(scalar_from_json(Mode.FLOAT, scalar_to_json(value))) == repr(value)
