@@ -14,11 +14,12 @@ image of basis monomial a under the map, expressed in basis coordinates,
 so y_i = T y_{i-1} entrywise. Row 0 is always (1, 0, ..., 0). Rows are
 stored sparse, as {column: coefficient} maps of the nonzero entries.
 
-The image of monomial m is prod_s f_s^m_s. In exact mode it is built from
-integer products: with d the lcm of all coefficient denominators, the
-truncated powers of F_s = d * f_s give d^|m| times the image, and each
-entry of row m is one Fraction over d^|m|. Float rows multiply the
-system polynomials themselves, starting from one.
+The image of monomial m is prod_s f_s^m_s, one truncated product per
+basis monomial from one poly.product_table. In exact mode it multiplies
+integer polynomials: with d the lcm of all coefficient denominators, the
+products of F_s = d * f_s give d^|m| times the image, and each entry of
+row m is one Fraction over d^|m|. Float rows multiply the system
+polynomials themselves, starting from one.
 
 When the map has no constant term and an upper-triangular linear part,
 products can only move exponent mass toward higher variable indices and
@@ -34,7 +35,7 @@ from typing import Dict, Iterator, List
 
 from .errors import ArityError, SizeLimitError
 from .linalg import is_upper_triangular
-from .poly import Monomial, integer_scaled, power_products
+from .poly import Monomial, integer_scaled, product_table
 from .scalars import Mode, Scalar, scalar_to_json
 
 BASIS_SIZE_LIMIT = 200_000
@@ -97,16 +98,13 @@ def build_transition(system, basis: MonomialBasis) -> "CarlemanMatrix":
     if system.k != basis.k:
         raise ArityError(
             f"system has {system.k} variables but the basis expects {basis.k}")
-    if system.mode is Mode.EXACT:
-        factors, scale = integer_scaled(system.polys)
-        unit = 1
-    else:
-        factors, scale, unit = system.polys, None, system.mode.one
-    images = power_products(((mono, unit) for mono in basis.monomials),
-                            factors, basis.order)
+    exact = system.mode is Mode.EXACT
+    factors, scale = (integer_scaled(system.polys) if exact
+                      else (system.polys, None))
+    image = product_table(factors, basis.order, 1 if exact else system.mode.one)
     rows: List[Dict[int, Scalar]] = []
-    for mono, image in zip(basis.monomials, images):
-        row = sorted((basis.index_of(t), c) for t, c in image.terms.items())
+    for mono in basis.monomials:
+        row = sorted((basis.index_of(t), c) for t, c in image(mono).terms.items())
         if scale is not None:
             den = scale ** sum(mono)
             row = [(col, Fraction(c, den)) for col, c in row]

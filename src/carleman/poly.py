@@ -27,7 +27,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ArityError, ZeroPolynomialError
 from .scalars import Scalar
@@ -86,10 +86,6 @@ class Poly:
         mono = tuple(1 if i == index else 0 for i in range(var_count))
         one = Fraction(1)
         return cls(var_count, {mono: one})
-
-    @classmethod
-    def from_monomial(cls, var_count: int, mono: Monomial, coeff: Scalar) -> "Poly":
-        return cls(var_count, {tuple(mono): coeff})
 
     # -- views ----------------------------------------------------------
 
@@ -197,11 +193,7 @@ class Poly:
         for arg in arguments:
             if arg.var_count != inner_vars:
                 raise ArityError("argument polynomials disagree on variable count")
-        kept = within_cutoff(self.terms.items(), arguments, max_degree)
-        out = Poly.zero(inner_vars)
-        for piece in power_products(kept, arguments, max_degree):
-            out = out + piece
-        return out
+        return compose_shared([self], arguments, max_degree)[0]
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         """Value at a point, with per-variable power caching."""
@@ -237,25 +229,6 @@ class Poly:
         return Poly(self.var_count, terms)
 
 
-def power_products(terms: Iterable[Tuple[Monomial, Scalar]],
-                   factors: Sequence[Poly],
-                   max_degree: Optional[int] = None) -> Iterator[Poly]:
-    """For each (m, c) in terms, in order, c * prod_s factors[s]**m[s]
-    with degrees above max_degree dropped: the constant c times each
-    factor's truncated power in slot order, every power computed once."""
-    k = factors[0].var_count
-    constant = (0,) * k
-    powers: Dict[Tuple[int, int], Poly] = {}
-    for mono, coeff in terms:
-        piece = Poly._trusted(k, {constant: coeff})
-        for s, e in enumerate(mono):
-            if e:
-                if (s, e) not in powers:
-                    powers[s, e] = factors[s].pow_truncated(e, max_degree)
-                piece = piece.mul_truncated(powers[s, e], max_degree)
-        yield piece
-
-
 def within_cutoff(terms: Iterable[Tuple[Monomial, Scalar]],
                   arguments: Sequence[Poly], max_degree: Optional[int]
                   ) -> List[Tuple[Monomial, Scalar]]:
@@ -269,24 +242,38 @@ def within_cutoff(terms: Iterable[Tuple[Monomial, Scalar]],
             if sum(map(operator.mul, mono, lowest)) <= max_degree]
 
 
-def compose_shared(polys: Sequence[Poly], arguments: Sequence[Poly],
-                   max_degree: Optional[int] = None) -> List[Poly]:
-    """[p.compose(arguments, max_degree) for p in polys] for exact (or
-    integer) coefficients: each distinct monomial's product
-    prod_s arguments[s]**m[s] is formed once, by one mul_truncated from
-    its prefix m - e_s (s its last nonzero slot), and shared by every p
-    that uses it. Float sums would round in another order than compose's."""
-    k = arguments[0].var_count
-    constant = (0,) * len(arguments)
-    products: Dict[Monomial, Poly] = {constant: Poly._trusted(k, {(0,) * k: 1})}
+def product_table(factors: Sequence[Poly], max_degree: Optional[int] = None,
+                  one: Scalar = 1) -> Callable[[Monomial], Poly]:
+    """The map m -> one * prod_s factors[s]**m[s], degrees above
+    max_degree dropped. Each product is formed once, by one mul_truncated
+    of its prefix m - e_s (s the last nonzero slot) by factors[s], and
+    kept while the map lives; asked in graded order, every prefix is
+    already there."""
+    k = factors[0].var_count
+    products: Dict[Monomial, Poly] = {
+        (0,) * len(factors): Poly._trusted(k, {(0,) * k: one})}
 
     def product(mono: Monomial) -> Poly:
-        if mono not in products:
+        missing = []
+        while mono not in products:
             s = max(t for t, e in enumerate(mono) if e)
-            prefix = mono[:s] + (mono[s] - 1,) + mono[s + 1:]
-            products[mono] = product(prefix).mul_truncated(arguments[s], max_degree)
-        return products[mono]
+            missing.append((mono, s))
+            mono = mono[:s] + (mono[s] - 1,) + mono[s + 1:]
+        value = products[mono]
+        for mono, s in reversed(missing):
+            value = products[mono] = value.mul_truncated(factors[s], max_degree)
+        return value
 
+    return product
+
+
+def compose_shared(polys: Sequence[Poly], arguments: Sequence[Poly],
+                   max_degree: Optional[int] = None) -> List[Poly]:
+    """[p.compose(arguments, max_degree) for p in polys], each distinct
+    monomial's product prod_s arguments[s]**m[s] read from one
+    product_table and shared by every p that uses it."""
+    k = arguments[0].var_count
+    product = product_table(arguments, max_degree)
     out = []
     for p in polys:
         terms: Dict[Monomial, Scalar] = {}

@@ -44,7 +44,7 @@ from .errors import (ArityError, CarlemanError, NotShiftedError,
                      SizeLimitError, TriangularizationError)
 from .linalg import is_upper_triangular, mat_vec, max_abs
 from .poly import (Monomial, Poly, affine_images, compose_shared, grlex_key,
-                   integer_scaled, power_products)
+                   integer_scaled, product_table)
 from .scalars import (Mode, Scalar, format_scalar, nearly_equal, over_lcm,
                       scalar_from_json, scalar_to_json, sort_key)
 from .systems import (AdmissibilityReport, PolySystem, TransformParams,
@@ -601,15 +601,15 @@ def _pullback(images: Sequence[Poly], a_inv, p_rows: List[Dict], modal_inv,
 
 def _expansions(images: Sequence[Poly], monomials: Sequence[Monomial],
                 mode: Mode) -> List:
-    """E_l = prod_s images[s]^l[s] for each basis monomial l: float rows
-    as coefficient maps, exact rows as (integer numerators, d^|l|) from
-    the images scaled by d, the lcm of their denominators."""
+    """E_l = prod_s images[s]^l[s] for each basis monomial l, from one
+    product_table: float rows as coefficient maps, exact rows as (integer
+    numerators, d^|l|) from the images scaled by d, their lcm denominator."""
     if mode is Mode.FLOAT:
-        return [p.terms for p in power_products(
-            ((m, mode.one) for m in monomials), images)]
+        expansion = product_table(images, one=mode.one)
+        return [expansion(m).terms for m in monomials]
     factors, scale = integer_scaled(images)
-    return [(p.terms, scale ** sum(m)) for m, p in zip(
-        monomials, power_products(((m, 1) for m in monomials), factors))]
+    expansion = product_table(factors)
+    return [(expansion(m).terms, scale ** sum(m)) for m in monomials]
 
 
 def _integer_row(row: Dict[int, Fraction]) -> Tuple[Dict[int, int], int]:
@@ -732,16 +732,16 @@ def _integer_system(system: PolySystem, denominator: int
 def _oracle_step(system: PolySystem, state: _OracleState,
                  max_degree: Optional[int]) -> _OracleState:
     """Compose the update map with the state, dropping degrees above
-    max_degree. Exact states stay integer: every distinct monomial of the
-    integer update polynomials gets its truncated state product once per
-    step, shared by all k equations (poly.compose_shared), and the result
-    is reduced by the gcd of the new denominator and all numerator
-    coefficients. Float states compose each equation with Poly.compose."""
+    max_degree, each distinct monomial's truncated state product formed
+    once per step for all k equations (poly.compose_shared). Exact states
+    stay integer: the integer update polynomials act on the numerators,
+    and the result is reduced by the gcd of the new denominator and all
+    numerator coefficients."""
     if isinstance(state, _ScaledState):
         polys, denominator = _integer_system(system, state.denominator)
         new_state = compose_shared(polys, state.numerators, max_degree)
     else:
-        new_state = [p.compose(state, max_degree) for p in system.polys]
+        new_state = compose_shared(system.polys, state, max_degree)
     total_terms = sum(len(p.terms) for p in new_state)
     if total_terms > _ORACLE_TERM_LIMIT:
         raise SizeLimitError(
@@ -882,12 +882,11 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     carries a nonzero offset (coefficients are exact there) and in the
     original coordinates otherwise. Exact mode demands equality and
     computes both sides in integers: the oracle as integer polynomials
-    over one shared denominator, each step forming every distinct
-    monomial's truncated state product once for all k equations
-    (_oracle_step), the closed form from one table of integer powers
-    (_exact_table_values), with one Fraction per side of each compared
-    cell. Float mode composes each equation with Poly.compose and allows
-    relative error up to tol.
+    over one shared denominator, the closed form from one table of
+    integer powers (_exact_table_values), with one Fraction per side of
+    each compared cell. Float mode allows relative error up to tol. In
+    both modes each oracle step forms every distinct monomial's truncated
+    state product once for all k equations (_oracle_step).
     """
     steps = solution.order if max_power is None else max_power
     if steps < 0:

@@ -11,17 +11,26 @@ the monomial's expansion and added into its cell one sum at a time with
 expsum_scaled() and expsum_add(), once ExpSum.scaled and ExpSum.__add__.
 It is the exact-mode oracle for the single assembly formula in
 solver._assemble. fraction_verify() is verify() with the oracle iterated
-in Fraction (or complex) polynomials and every cell evaluated by
-ExpSum.evaluate, the oracle for the integer evaluation of exact verify.
-compose_scaled_step() is the exact oracle step before the shared
-products: one Poly.compose per equation on the integer state. It is the
-oracle for poly.compose_shared in solver._oracle_step.
+in Fraction (or complex) polynomials, one power_compose per equation
+and step, and every cell evaluated by ExpSum.evaluate: the oracle for
+the integer evaluation of exact verify and for float verify's shared
+products.
+power_compose() is Poly.compose before poly.product_table: each kept
+term's constant times every factor's truncated power, taken by
+power_products() in slot order with each power computed once, and the
+pieces added one Poly at a time. No oracle here forms a product through
+product_table: the expansions, the oracle steps and fold_pullback() run
+through power_compose, and fraction_build_transition() multiplies
+cached powers of its own. compose_scaled_step() is the exact oracle
+step before the shared products, one power_compose per equation on the
+integer state, and the oracle for poly.compose_shared in
+solver._oracle_step.
 pairwise_mul_truncated() is Poly.mul_truncated before it sorted
 (degree, monomial, coefficient) triples once; the two must give the same
 terms in the same order, float bits included.
 fraction_build_transition() builds T from Fraction (or complex) products,
 compose_expansions() expands each basis monomial through the pullback
-images with one Poly.compose, and lcm_sum_combination() sums a pullback
+images with one power_compose, and lcm_sum_combination() sums a pullback
 entry's Fraction products by lcm_sum(), once scalars.lcm_sum;
 lcm_sum_pullback() joins the last two. They are the oracles for the
 integer products and sums of build_transition and solver._pullback.
@@ -51,12 +60,14 @@ is the oracle for the stored-solution reader, results and errors alike.
 
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from carleman.embedding import CarlemanMatrix, MonomialBasis
 from carleman.linalg import Matrix, identity, mat_mul, mat_vec
 from carleman.errors import ArityError, CarlemanError, SizeLimitError
-from carleman.poly import Monomial, Poly, affine_images, grlex_key
+from carleman.poly import (Monomial, Poly, affine_images, grlex_key,
+                           within_cutoff)
 from carleman.scalars import (Mode, Scalar, nearly_equal, ordered_sum,
                               over_lcm, scalar_from_json)
 from carleman.solver import (ClosedFormSolution, ExpSum, VerificationReport,
@@ -167,8 +178,8 @@ def fold_pullback(solution) -> List[Dict[Monomial, ExpSum]]:
     for l in range(1, size):
         # basis monomial l of the shifted coordinates, written in the
         # original initial conditions
-        expansion = Poly.from_monomial(w, basis.monomials[l], one)
-        expansion = expansion.compose(affine_images(a_rows, neg_ab))
+        expansion = power_compose(Poly(w, {basis.monomials[l]: one}),
+                                  affine_images(a_rows, neg_ab))
         carriers: List[Tuple[int, ExpSum]] = []
         for p in range(w):
             pairs = []
@@ -227,9 +238,9 @@ def fraction_build_transition(system, basis: MonomialBasis) -> CarlemanMatrix:
 def compose_expansions(images: Sequence[Poly], monomials: Sequence[Monomial],
                        mode: Mode) -> List[Dict[Monomial, Scalar]]:
     """The pullback expansions E_l as Fraction (or complex) maps, one
-    Poly.compose of basis monomial l with the images each."""
-    return [Poly.from_monomial(len(images), m, mode.one)
-            .compose(images).terms for m in monomials]
+    power_compose of basis monomial l with the images each."""
+    return [power_compose(Poly(len(images), {m: mode.one}), images).terms
+            for m in monomials]
 
 
 def lcm_sum(products: Sequence[Tuple[Fraction, Fraction]]) -> Tuple[int, int]:
@@ -326,6 +337,43 @@ def lcm_sum_decompose(matrix: Sequence[Dict[int, Fraction]],
     return modal, modal_inv
 
 
+def power_products(terms: Iterable[Tuple[Monomial, Scalar]],
+                   factors: Sequence[Poly],
+                   max_degree: Optional[int] = None) -> Iterator[Poly]:
+    """For each (m, c) in terms, in order, c * prod_s factors[s]**m[s]
+    with degrees above max_degree dropped: the constant c times each
+    factor's truncated power in slot order, every power computed once."""
+    k = factors[0].var_count
+    constant = (0,) * k
+    powers: Dict[Tuple[int, int], Poly] = {}
+    for mono, coeff in terms:
+        piece = Poly._trusted(k, {constant: coeff})
+        for s, e in enumerate(mono):
+            if e:
+                if (s, e) not in powers:
+                    powers[s, e] = factors[s].pow_truncated(e, max_degree)
+                piece = piece.mul_truncated(powers[s, e], max_degree)
+        yield piece
+
+
+def power_compose(poly: Poly, arguments: Sequence[Poly],
+                  max_degree: Optional[int] = None) -> Poly:
+    """Poly.compose by power_products: substitute a polynomial for each
+    variable, adding the pieces one Poly at a time."""
+    if len(arguments) != poly.var_count:
+        raise ArityError(
+            f"expected {poly.var_count} argument polynomials, got {len(arguments)}")
+    inner_vars = arguments[0].var_count
+    for arg in arguments:
+        if arg.var_count != inner_vars:
+            raise ArityError("argument polynomials disagree on variable count")
+    kept = within_cutoff(poly.terms.items(), arguments, max_degree)
+    out = Poly.zero(inner_vars)
+    for piece in power_products(kept, arguments, max_degree):
+        out = out + piece
+    return out
+
+
 def _identity_polys(system: PolySystem) -> List[Poly]:
     one = system.mode.one
     return [Poly.variable(system.k, l).scaled(one) for l in range(system.k)]
@@ -333,7 +381,7 @@ def _identity_polys(system: PolySystem) -> List[Poly]:
 
 def _oracle_step(system: PolySystem, state: List[Poly],
                  max_degree: Optional[int]) -> List[Poly]:
-    new_state = [p.compose(state, max_degree) for p in system.polys]
+    new_state = [power_compose(p, state, max_degree) for p in system.polys]
     total_terms = sum(len(p.terms) for p in new_state)
     if total_terms > _ORACLE_TERM_LIMIT:
         raise SizeLimitError(
@@ -346,10 +394,10 @@ def compose_scaled_step(system: PolySystem, state: _ScaledState,
                         max_degree: Optional[int]) -> _ScaledState:
     """The exact branch of solver._oracle_step before the shared
     products: each integer update polynomial composed with the state by
-    its own Poly.compose, so each builds its own powers of the state."""
+    its own power_compose, so each builds its own powers of the state."""
     polys, denominator = _integer_system(system, state.denominator)
     arguments = state.numerators
-    new_state = [p.compose(arguments, max_degree) for p in polys]
+    new_state = [power_compose(p, arguments, max_degree) for p in polys]
     total_terms = sum(len(p.terms) for p in new_state)
     if total_terms > _ORACLE_TERM_LIMIT:
         raise SizeLimitError(

@@ -3,14 +3,15 @@
 solver._oracle_step forms each distinct monomial's truncated product of
 the integer state once per step and shares it across the k equations
 (poly.compose_shared). oracles.compose_scaled_step is the old step: one
-Poly.compose per equation. Every step must give equal numerators and the
-same denominator, with and without a degree cutoff.
+oracles.power_compose per equation. Every step must give equal numerators
+and the same denominator, with and without a degree cutoff.
 """
 
 import random
 
 import pytest
 
+import oracles
 from carleman import SolveOptions, parse_system
 from carleman.poly import Poly
 from carleman.scalars import Mode
@@ -75,6 +76,16 @@ def prefixes(mono):
         mono = mono[:s] + (mono[s] - 1,) + mono[s + 1:]
 
 
+def count_calls(monkeypatch, calls, owner, name):
+    """Count each call of owner.name in calls[name]."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_one_product_per_distinct_monomial_prefix(monkeypatch):
     system, _ = parse_system(COUPLED, Mode.EXACT)
     order = 6
@@ -93,24 +104,33 @@ def test_one_product_per_distinct_monomial_prefix(monkeypatch):
     # the two equations share monomials, so sharing saves products
     assert len(distinct) < per_equation
 
-    calls = {"compose": 0, "mul_truncated": 0}
-
-    def counting(name):
-        original = getattr(Poly, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(Poly, name, counting(name))
+    calls = {"compose": 0, "power_compose": 0, "mul_truncated": 0}
+    count_calls(monkeypatch, calls, Poly, "compose")
+    count_calls(monkeypatch, calls, Poly, "mul_truncated")
+    count_calls(monkeypatch, calls, oracles, "power_compose")
     stepped = _oracle_step(target, state, order)
     shared = dict(calls)
-    calls.update(compose=0, mul_truncated=0)
+    calls.update(compose=0, power_compose=0, mul_truncated=0)
     old = compose_scaled_step(target, state, order)
     monkeypatch.undo()
-    assert shared == {"compose": 0, "mul_truncated": len(distinct)}
+    assert shared == {"compose": 0, "power_compose": 0,
+                      "mul_truncated": len(distinct)}
     assert old.numerators == stepped.numerators
-    assert calls["compose"] == target.k
+    assert calls["compose"] == 0
+    assert calls["power_compose"] == target.k
     assert calls["mul_truncated"] > len(distinct)
+
+
+def test_float_step_shares_products_too(monkeypatch):
+    # the float step reads the same product table as the exact one: no
+    # Poly.compose per equation, one mul_truncated per distinct prefix
+    system, _ = parse_system(COUPLED, Mode.FLOAT)
+    state = _oracle_start(system)
+    for _ in range(2):
+        state = _oracle_step(system, state, 6)
+    distinct = {q for p in system.polys for m in p.terms for q in prefixes(m)}
+    calls = {"compose": 0, "mul_truncated": 0}
+    count_calls(monkeypatch, calls, Poly, "compose")
+    count_calls(monkeypatch, calls, Poly, "mul_truncated")
+    _oracle_step(system, state, 6)
+    assert calls == {"compose": 0, "mul_truncated": len(distinct)}

@@ -14,7 +14,7 @@ from carleman.poly import (
     rational_roots, univariate_coeffs,
 )
 
-from oracles import pairwise_mul_truncated
+from oracles import pairwise_mul_truncated, power_compose
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 monos2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -46,7 +46,7 @@ def test_constructors():
     assert c.terms == {(0, 0): Fraction(5)}
     v = Poly.variable(2, 1)
     assert v.terms == {(0, 1): Fraction(1)}
-    m = Poly.from_monomial(2, (1, 2), Fraction(-3))
+    m = Poly(2, {(1, 2): Fraction(-3), (0, 1): Fraction(0)})
     assert m.terms == {(1, 2): Fraction(-3)}
 
 
@@ -202,7 +202,8 @@ def test_compose_shared_matches_compose_and_skips_past_the_cutoff(monkeypatch):
             Poly(2, {(1, 1): Fraction(-1), (0, 2): Fraction(3)})]
     for cap in (None, 3, 6):
         assert compose_shared([p, q], args, cap) == \
-            [p.compose(args, cap), q.compose(args, cap)]
+            [power_compose(p, args, cap), power_compose(q, args, cap)]
+        assert p.compose(args, cap) == power_compose(p, args, cap)
     calls = []
     multiply = Poly.mul_truncated
 
@@ -215,6 +216,14 @@ def test_compose_shared_matches_compose_and_skips_past_the_cutoff(monkeypatch):
     # one product per monomial x0^a * x1^b with a + 2b <= 3, the
     # constant aside: (1, 0), (2, 0), (3, 0) and (0, 1), (1, 1)
     assert len(calls) == 5
+
+
+def test_compose_of_a_high_power_runs_without_recursion():
+    # the product table walks down to the nearest stored prefix in a loop,
+    # so a power beyond the recursion limit composes like a small one
+    p = x_poly({3000: 1})
+    shifted = p.compose(affine_images([[Fraction(1)]], [Fraction(1)]), 2)
+    assert shifted.terms == {(0,): 1, (1,): 3000, (2,): math.comb(3000, 2)}
 
 
 # -- evaluation and calculus ------------------------------------------------------

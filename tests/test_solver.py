@@ -568,3 +568,20 @@ def test_mode_mismatch_is_an_error():
     system, names = logistic(F(2))
     with pytest.raises(CarlemanError):
         solve(system, SolveOptions(order=3, mode=Mode.FLOAT), names=names)
+
+
+# float systems with no rational fixed point or spectrum stay on the float
+# route: an irrational fixed point, and eigenvalues 1/2 +- i
+IRRATIONAL_FIXED_POINT = "vars: u\nu[i] = 1/2*u[i-1] + u[i-1]^2 - 1/10\n"
+ROTATION = ("vars: u, v\n"
+            "u[i] = 1/2*u[i-1] - v[i-1] + u[i-1]^2\n"
+            "v[i] = u[i-1] + 1/2*v[i-1] + u[i-1]*v[i-1]\n")
+
+
+@pytest.mark.parametrize("text", [IRRATIONAL_FIXED_POINT, ROTATION])
+@pytest.mark.parametrize("order", range(2, 9))
+def test_float_solutions_pass_their_own_verify(text, order):
+    system, names = load(text, Mode.FLOAT)
+    solution = solve(system, SolveOptions(order=order, mode=Mode.FLOAT), names)
+    report = verify(solution, system)
+    assert report.passed, report.describe()
