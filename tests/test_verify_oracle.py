@@ -8,8 +8,8 @@ expected and got value in exact mode. Float verify forms the oracle's
 products from poly.product_table, fraction_verify by one power_compose
 per equation, so their float sums round in another order: the rows, the
 repr of every got value, every ok flag and the verdict must agree, and
-every expected value must be within FLOAT_TOL of the oracle's (relative,
-scaled by at least 1).
+every expected value, every row's error and the max discrepancy must be
+within FLOAT_TOL of the oracle's (relative, scaled by at least 1).
 """
 
 import json
@@ -33,7 +33,8 @@ TRI3 = ("vars: x, y, z\n"
         "z[i] = 5*z[i-1] + x[i-1]^2\n")
 LOGISTIC = "vars: u\nu[i] = 7/2*u[i-1] - 7/2*u[i-1]^2\n"
 MODES = [Mode.EXACT, Mode.FLOAT]
-# float expected values came out within 6.5e-16 of fraction_verify's
+# float expected values came out within 6.5e-16 of fraction_verify's,
+# row errors within 2.3e-15 and max discrepancies within 5.2e-16
 FLOAT_TOL = 1e-12
 
 
@@ -60,8 +61,13 @@ def assert_same_reports(solution, system):
                         row.ok) == (oracle.step, oracle.variable,
                                     oracle.monomial, repr(oracle.got),
                                     oracle.ok)
-                assert abs(row.expected - oracle.expected) <= \
-                    FLOAT_TOL * max(1, abs(oracle.expected))
+                # error is |expected - got| with got unchanged, so it moves
+                # by at most what expected moves
+                scale = FLOAT_TOL * max(1, abs(oracle.expected))
+                assert abs(row.expected - oracle.expected) <= scale
+                assert abs(row.error - oracle.error) <= scale
+            assert abs(got.max_discrepancy - want.max_discrepancy) <= \
+                FLOAT_TOL * max([1] + [abs(r.expected) for r in want.rows])
 
 
 @pytest.mark.parametrize("mode", MODES)
