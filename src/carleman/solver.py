@@ -20,11 +20,11 @@ verify() therefore compares coefficients, not trajectory values, against
 a brute-force symbolic iteration oracle. Verification happens in the
 shifted coordinates when the shift is nonzero (there the coefficients
 are exact); with a zero shift the original-coordinate table is checked
-directly. In exact mode both sides stay in integers until the comparison:
+directly. In exact mode both sides stay in integers through the comparison:
 the oracle holds integer polynomials over one shared denominator, reduced
 by their common gcd after every step, and the closed form is evaluated
 from one running power per distinct eigenvalue over a common
-denominator. Each side of a compared coefficient becomes one Fraction.
+denominator. A coefficient on which they agree becomes one Fraction.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ class ExpSum:
     def from_terms(cls, mode: Mode,
                    pairs: Sequence[Tuple[Scalar, Scalar]]) -> "ExpSum":
         """Canonical sum of (base, coeff) pairs; zeros go by truthiness."""
+        if mode is Mode.EXACT and all(c for _, c in pairs) and all(
+                a < b for (a, _), (b, _) in zip(pairs, pairs[1:])):
+            return cls(mode=mode, terms=tuple(pairs))
         merged: List[List[Scalar]] = []
         for base, coeff in sorted(pairs, key=lambda bc: sort_key(bc[0])):
             if merged and nearly_equal(merged[-1][0], base, _FLOAT_MERGE_TOL):
@@ -263,6 +266,8 @@ class ClosedFormSolution:
         try:
             mode = Mode(data["mode"])
             order = int(data["order"])
+            if order < 1:
+                raise ValueError(f"order must be >= 1, got {order}")
             read = _scalar_reader(mode)
             names = tuple(entry["name"] for entry in data["variables"])
             offsets = tuple(read(entry["offset"]) for entry in data["variables"])
@@ -695,11 +700,6 @@ class _ScaledState:
             denominator //= common
         return cls(numerators, denominator)
 
-    def fraction_terms(self) -> List[Dict[Monomial, Fraction]]:
-        den = self.denominator
-        return [{m: Fraction(c, den) for m, c in p.terms.items()}
-                for p in self.numerators]
-
 
 _OracleState = Union[List[Poly], _ScaledState]
 
@@ -767,13 +767,15 @@ def oracle_iterate_symbolic(system: PolySystem, i: int,
     for _ in range(i):
         state = _oracle_step(system, state, max_degree)
     if isinstance(state, _ScaledState):
-        return [Poly(system.k, terms) for terms in state.fraction_terms()]
+        return [Poly(system.k, {m: Fraction(c, state.denominator)
+                                for m, c in p.terms.items()})
+                for p in state.numerators]
     return state
 
 
 def _exact_table_values(tables: Sequence[Dict[Monomial, ExpSum]], steps: int
-                        ) -> Iterator[List[Dict[Monomial, Fraction]]]:
-    """Every cell of exact tables at i = 0..steps, in integer arithmetic.
+                        ) -> Iterator[List[Dict[Monomial, Tuple[int, int]]]]:
+    """Every cell of exact tables at i = 0..steps, as an integer pair.
 
     With Q the lcm of the denominators of all bases, a base p/q is
     m / Q with the integer m = p * (Q/q). A cell sum_j c_j b_j^i is then
@@ -781,31 +783,27 @@ def _exact_table_values(tables: Sequence[Dict[Monomial, ExpSum]], steps: int
     coefficient denominators and r_j = c_j S; scalars.over_lcm, which
     also backs the lcm sums of decompose and _integer_row, gives both.
     Each step advances one running power per distinct base and Q^i by
-    one integer multiply, and makes one Fraction per cell.
+    one integer multiply, and yields (sum_j r_j m_j^i, S Q^i) per cell.
     """
     keys: Dict[Tuple[int, int], int] = {}
-    for table in tables:
-        for exp_sum in table.values():
-            for base, _ in exp_sum.terms:
-                keys.setdefault((base.numerator, base.denominator), len(keys))
-    multipliers, common = over_lcm(list(keys))
     cells = []
     for table in tables:
         row = {}
         for mono, exp_sum in table.items():
-            numerators, lcd = over_lcm([(c.numerator, c.denominator)
+            numerators, lcd = over_lcm([c.as_integer_ratio()
                                         for _, c in exp_sum.terms])
-            row[mono] = (lcd, [(keys[(b.numerator, b.denominator)], r)
-                               for (b, _), r in zip(exp_sum.terms, numerators)])
+            row[mono] = (lcd, [
+                (keys.setdefault(b.as_integer_ratio(), len(keys)), r)
+                for (b, _), r in zip(exp_sum.terms, numerators)])
         cells.append(row)
+    multipliers, common = over_lcm(list(keys))
     powers = [1] * len(multipliers)
     common_power = 1
     for i in range(steps + 1):
         if i:
             powers = [x * m for x, m in zip(powers, multipliers)]
             common_power *= common
-        yield [{mono: Fraction(sum(r * powers[j] for j, r in terms),
-                               lcd * common_power)
+        yield [{mono: (sum(r * powers[j] for j, r in terms), lcd * common_power)
                 for mono, (lcd, terms) in row.items()} for row in cells]
 
 
@@ -880,13 +878,12 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
 
     The comparison runs in the shifted coordinates when the solution
     carries a nonzero offset (coefficients are exact there) and in the
-    original coordinates otherwise. Exact mode demands equality and
-    computes both sides in integers: the oracle as integer polynomials
-    over one shared denominator, the closed form from one table of
-    integer powers (_exact_table_values), with one Fraction per side of
-    each compared cell. Float mode allows relative error up to tol. In
-    both modes each oracle step forms every distinct monomial's truncated
-    state product once for all k equations (_oracle_step).
+    original coordinates otherwise. Exact mode demands equality, tested
+    in integers as n * lcd * Q^i == S * D between the oracle's n / D and
+    the closed form's S / (lcd * Q^i) (_exact_table_values); an agreeing
+    cell makes one Fraction. Float mode allows relative error up to tol.
+    Each oracle step forms every distinct monomial's truncated product
+    once for all k equations (_oracle_step); grlex_key sorts each table once.
     """
     steps = solution.order if max_power is None else max_power
     if steps < 0:
@@ -911,36 +908,39 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     order = solution.order
     zero = target.mode.zero
     exact_values = _exact_table_values(tables, steps) if exact else None
+    table_orders = [sorted(table, key=grlex_key) for table in tables]
 
     rows: List[VerificationRow] = []
     state = _oracle_start(target)
     worst = 0.0
     for i in range(steps + 1):
         if exact:
-            oracle = state.fraction_terms()
+            oracle, den = [p.terms for p in state.numerators], state.denominator
             values = next(exact_values)
         else:
             oracle = [p.terms for p in state]
             values = [{m: s.evaluate(i) for m, s in table.items()}
                       for table in tables]
         for p in range(target.k):
-            oracle_terms = {m: c for m, c in oracle[p].items()
-                            if sum(m) <= order}
-            monomials = set(oracle_terms) | set(values[p])
-            for mono in sorted(monomials, key=grlex_key):
-                expected = oracle_terms.get(mono, zero)
-                got = values[p].get(mono, zero)
+            # order >= 1 and each step truncates at it: no degree filter
+            terms, cells = oracle[p], values[p]
+            monomials = (table_orders[p] if terms.keys() <= cells.keys() else
+                         sorted(terms.keys() | cells.keys(), key=grlex_key))
+            for mono in monomials:
                 if exact:
-                    ok = expected == got
+                    n, (s, scale) = terms.get(mono, 0), cells.get(mono, (0, 1))
+                    expected = Fraction(n, den) if n else zero
+                    ok = n * scale == s * den
+                    got = expected if ok else Fraction(s, scale)
                     error = 0.0 if ok else float(abs(expected - got))
                 else:
+                    expected, got = terms.get(mono, zero), cells.get(mono, zero)
                     scale = max(1.0, abs(expected))
                     error = abs(expected - got)
                     ok = error <= tol * scale
                 worst = max(worst, error)
-                rows.append(VerificationRow(
-                    step=i, variable=solution.names[p], monomial=mono,
-                    expected=expected, got=got, error=error, ok=ok))
+                rows.append(VerificationRow(i, solution.names[p], mono,
+                                            expected, got, error, ok))
         if i < steps:
             state = _oracle_step(target, state, order)
     return VerificationReport(

@@ -14,11 +14,13 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import carleman.solver
 from carleman import CarlemanError, SolveOptions, parse_system, solve
+from carleman.cli import main
 from carleman.scalars import Mode
 from carleman.solver import ClosedFormSolution
 
@@ -45,6 +47,7 @@ SHIFTED = "vars: u\nu[i] = u[i-1]^2 - 3/2*u[i-1] + 3/2\n"
 # bases 1/2, 1/4, 1/8, ...: the identity transform, and a base to respell
 HALVING = "vars: u\nu[i] = 1/2*u[i-1] + u[i-1]^2\n"
 MODES = [Mode.EXACT, Mode.FLOAT]
+SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 
 def stored(text, mode, order=3, matrix=None):
@@ -231,6 +234,26 @@ def test_malformed_payload_refused_as_before(path, value, text, matrix):
     assert assert_same_refusal(data).startswith("malformed solution JSON")
 
 
+@pytest.mark.parametrize("order", [0, -2, "0"], ids=["0", "-2", "text-0"])
+def test_order_below_one_refused(tmp_path, capsys, order):
+    # verify truncates its oracle at the stored order, which must be >= 1
+    # as --order must; the reader it replaced took any integer
+    sample = str(SAMPLES / "logistic_r2.rec")
+    sol = tmp_path / "solution.json"
+    assert main(["solve", sample, "--format", "json", "--output", str(sol)]) == 0
+    data = json.loads(sol.read_text())
+    data["order"] = order
+    reason = f"malformed solution JSON: order must be >= 1, got {int(order)}"
+    with pytest.raises(CarlemanError) as refused:
+        ClosedFormSolution.from_json(copy.deepcopy(data))
+    assert str(refused.value) == reason
+    sol.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", sample, "--solution", str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {reason}\n")
+
+
 @FILES
 def test_bad_scalar_before_a_missing_entry_refused_as_before(text, matrix):
     # the first transformed entry is read before the second is looked at
@@ -326,3 +349,26 @@ def test_bad_transformed_table_alone_is_refused(monkeypatch, text, matrix,
         term["expsum"][-1]["coeff"] = value
     with pytest.raises(CarlemanError, match=message):
         counted_load(monkeypatch, data)
+
+
+@pytest.mark.parametrize("text, matrix", [
+    (TRI2, None), (COUPLED, COUPLED_A), (HALVING, None), (SHIFTED, None)],
+    ids=["identity", "A", "halving", "shifted"])
+def test_canonical_file_loads_without_sorting(monkeypatch, text, matrix):
+    # to_json writes every exact sum canonical, so from_terms keeps each
+    # as given; a shuffled sum still goes through the sort
+    data = stored(text, Mode.EXACT, order=5, matrix=matrix)
+    calls = Counter()
+    original = carleman.solver.sort_key
+
+    def counting(value):
+        calls["sort_key"] += 1
+        return original(value)
+    monkeypatch.setattr(carleman.solver, "sort_key", counting)
+    assert_same_as_old_reader(data)
+    assert calls["sort_key"] == 0
+    shuffled = max(expsums(data, "variables"), key=len)
+    assert len(shuffled) > 1
+    shuffled.reverse()
+    assert_same_as_old_reader(data)
+    assert calls["sort_key"] == len(shuffled)

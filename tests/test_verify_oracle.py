@@ -12,6 +12,7 @@ every expected value, every row's error and the max discrepancy must be
 within FLOAT_TOL of the oracle's (relative, scaled by at least 1).
 """
 
+import itertools
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+import carleman.solver
 from carleman import SolveOptions, parse_system, solve, verify
 from carleman.scalars import Mode
 from carleman.solver import ClosedFormSolution, _oracle_start, _oracle_step
@@ -26,6 +28,7 @@ from carleman.solver import ClosedFormSolution, _oracle_start, _oracle_step
 from conftest import random_triangular_system
 from oracles import fraction_verify
 from test_pullback_oracle import COUPLED, COUPLED_A, DEPTH_TWO, in_mode
+from test_solution_load import SHIFTED
 
 TRI3 = ("vars: x, y, z\n"
         "x[i] = 2*x[i-1] + y[i-1]^2\n"
@@ -38,6 +41,16 @@ MODES = [Mode.EXACT, Mode.FLOAT]
 FLOAT_TOL = 1e-12
 
 
+def assert_same_exact_report(got, want):
+    assert got.describe() == want.describe()
+    assert got.to_json() == want.to_json()
+    assert got.rows == want.rows
+    for row in got.rows:
+        assert type(row.expected) is Fraction
+        assert type(row.got) is Fraction
+    assert got.max_discrepancy == want.max_discrepancy
+
+
 def assert_same_reports(solution, system):
     order = solution.order
     for max_power in (0, order, order + 3):
@@ -47,14 +60,8 @@ def assert_same_reports(solution, system):
             (want.passed, want.coordinates, want.steps)
         assert len(got.rows) == len(want.rows)
         if solution.mode is Mode.EXACT:
-            assert got.describe() == want.describe()
-            assert got.to_json() == want.to_json()
             assert got.passed
-            assert got.rows == want.rows
-            for row in got.rows:
-                assert type(row.expected) is Fraction
-                assert type(row.got) is Fraction
-            assert got.max_discrepancy == want.max_discrepancy
+            assert_same_exact_report(got, want)
         else:
             for row, oracle in zip(got.rows, want.rows):
                 assert (row.step, row.variable, row.monomial, repr(row.got),
@@ -132,6 +139,66 @@ def test_tampered_solution_fails_like_fraction_verify():
     assert got.rows == fraction_verify(stored, system, max_power=6).rows
 
 
+def delete_cell(entries):
+    del entries[1]["terms"][3]
+
+
+def add_cell(entries):
+    # a monomial of degree <= 4, the order, whose coefficient is always 0
+    terms = entries[0]["terms"]
+    present = {tuple(term["monomial"]) for term in terms}
+    mono = next(m for m in itertools.product(range(5), repeat=3)
+                if sum(m) <= 4 and m not in present)
+    terms.append({"monomial": list(mono),
+                  "expsum": [{"base": "2", "coeff": "1"}]})
+
+
+def reverse_cells(entries):
+    for entry in entries:
+        entry["terms"].reverse()
+
+
+@pytest.mark.parametrize("tamper, passes", [
+    (delete_cell, False), (add_cell, False), (reverse_cells, True)],
+    ids=["deleted-cell", "extra-cell", "reversed-cells"])
+def test_tampered_rows_match_fraction_verify(tamper, passes):
+    # the rows walk each table's grlex order when the oracle's monomials
+    # are in the table (extra or reordered cells) and sort the union
+    # when one is missing (a deleted cell)
+    system, names = parse_system(TRI3, Mode.EXACT)
+    data = solve(system, SolveOptions(order=4), names).to_json()
+    tamper(data["variables"])
+    stored = ClosedFormSolution.from_json(data)
+    for max_power in (0, 4, 7):
+        got = verify(stored, system, max_power=max_power)
+        assert got.coordinates == "original"
+        if max_power:
+            assert got.passed == passes
+        assert_same_exact_report(
+            got, fraction_verify(stored, system, max_power=max_power))
+
+
+@pytest.mark.parametrize("text, matrix", [
+    (TRI3, None), (COUPLED, COUPLED_A), (SHIFTED, None)],
+    ids=["tri3", "coupled-A", "shifted"])
+def test_passing_verify_sorts_each_table_once(monkeypatch, text, matrix):
+    system, names = parse_system(text, Mode.EXACT)
+    solution = solve(system, SolveOptions(order=6, matrix=matrix), names)
+    calls = []
+    original = carleman.solver.grlex_key
+
+    def counting(mono):
+        calls.append(mono)
+        return original(mono)
+    monkeypatch.setattr(carleman.solver, "grlex_key", counting)
+    report = verify(solution, system, max_power=8)
+    assert report.passed
+    assert report.coordinates == ("transformed" if text is SHIFTED
+                                  else "original")
+    tables = (solution.transformed if text is SHIFTED else solution.tables)
+    assert 0 < len(calls) <= sum(len(table) for table in tables)
+
+
 FRACTIONAL = ("vars: u, v\n"
               "u[i] = 1/2*u[i-1] + 2/3*v[i-1]^2\n"
               "v[i] = 1/3*v[i-1] + 3/4*u[i-1]*v[i-1] - 5/6*u[i-1]^2\n")
@@ -149,5 +216,5 @@ def test_oracle_keeps_the_least_shared_denominator(text):
         assert all(type(c) is int for c in coefficients)
         assert math.gcd(state.denominator, *coefficients) == 1
         assert state.denominator == math.lcm(
-            *(c.denominator for terms in state.fraction_terms()
-              for c in terms.values()))
+            *(Fraction(c, state.denominator).denominator
+              for c in coefficients))
