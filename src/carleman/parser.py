@@ -21,6 +21,8 @@ right-hand side directly as a Poly over the flattened lag variables
 width of every Poly, is read from the tokens before the first equation.
 A lexical error anywhere is reported first; after that, the first error
 the descent reads, a float literal too large for a double included.
+In Float mode the descent runs again, in Exact mode, over the same
+tokens; that exact twin rides along as PolySystem.exact.
 pretty_print() renders a system back to canonical text: terms in
 descending total degree, ties in the monomial-basis order, coefficient
 1 omitted, exponent 1 omitted.
@@ -29,7 +31,7 @@ descending total degree, ties in the monomial-basis order, coefficient
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -294,8 +296,14 @@ def parse_system(text: str, mode: Mode) -> Tuple[PolySystem, List[str]]:
     """Parse DSL text into a PolySystem over the flattened lag variables,
     returning the declared names as well. Variable (name index l, lag j)
     becomes flattened index (j-1)*k + l. Literals are converted per mode;
-    a literal too large for a double raises a ParseError in Float mode."""
-    return _Parser(_tokenize(text), mode).parse_system()
+    a literal too large for a double raises a ParseError in Float mode.
+    A Float system carries its exact twin, read from the same tokens."""
+    tokens = _tokenize(text)
+    system, names = _Parser(tokens, mode).parse_system()
+    if mode is Mode.FLOAT:
+        twin, _ = _Parser(tokens, Mode.EXACT).parse_system()
+        system = replace(system, exact=twin)
+    return system, names
 
 
 # -- rendering ----------------------------------------------------------------

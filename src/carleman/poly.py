@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ArityError, ZeroPolynomialError
+from .errors import ArityError, SizeLimitError, ZeroPolynomialError
 from .scalars import Scalar
 
 Monomial = Tuple[int, ...]
@@ -321,8 +321,20 @@ def univariate_coeffs(p: Poly) -> List[Scalar]:
     return [p.terms.get((j,), 0) for j in range(m + 1)]
 
 
+# the rational-root search trial-divides up to the square root of a
+# coefficient, then tests every quotient of two divisors; a search that
+# needs more divisions or candidates than this is refused
+_DIVISOR_SEARCH_LIMIT = 10 ** 6
+
+
 def _divisors(n: int) -> List[int]:
     n = abs(n)
+    if math.isqrt(n) > _DIVISOR_SEARCH_LIMIT:
+        digits = int((n.bit_length() - 1) * math.log10(2)) + 1
+        digits += n >= 10 ** digits
+        raise SizeLimitError(
+            f"rational root search: a {digits}-digit coefficient needs over "
+            f"{_DIVISOR_SEARCH_LIMIT} trial divisions; use --mode float")
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -355,8 +367,13 @@ def rational_roots(p: Poly) -> List[Fraction]:
     ints = [int(c * scale) for c in reduced]
     trailing, leading = ints[0], ints[-1]
     seen = set(roots)
-    for num in _divisors(trailing):
-        for den in _divisors(leading):
+    nums, dens = _divisors(trailing), _divisors(leading)
+    if len(nums) * len(dens) > _DIVISOR_SEARCH_LIMIT:
+        raise SizeLimitError(
+            f"rational root search: {len(nums) * len(dens)} candidates exceed "
+            f"{_DIVISOR_SEARCH_LIMIT}; use --mode float")
+    for num in nums:
+        for den in dens:
             if math.gcd(num, den) != 1:
                 continue
             for cand in (Fraction(num, den), Fraction(-num, den)):

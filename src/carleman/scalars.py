@@ -66,14 +66,6 @@ def over_lcm(pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
     return [n * (common // d) for n, d in pairs], common
 
 
-def ordered_sum(products: Sequence[Tuple[Scalar, Scalar]], zero: Scalar) -> Scalar:
-    """The sum of a * b over products, added in order onto zero."""
-    acc = zero
-    for a, b in products:
-        acc = acc + a * b
-    return acc
-
-
 def sort_key(value: Scalar):
     """Deterministic ordering key; an exact value is its own key, floats
     sort by magnitude then phase."""

@@ -502,9 +502,20 @@ def solve(system: PolySystem, opts: Optional[SolveOptions] = None,
     Depth-n systems are flattened first, so the solution is expressed
     over the flattened variables (lag copies included). The options'
     shift and matrix policies control the affine transform; the
-    eigenvalue-product admissibility gate runs after both.
+    eigenvalue-product admissibility gate runs after both. A float system
+    with an exact twin (PolySystem.exact) is solved exactly first and
+    rounded once; if the twin is refused for anything but colliding
+    eigenvalues, the float pipeline runs instead.
     """
     opts = opts or SolveOptions()
+    twin_opts = system.exact and opts.mode is Mode.FLOAT and _exact_options(opts)
+    if twin_opts:
+        try:
+            return _rounded(solve(system.exact, twin_opts, names))
+        except RepeatedEigenvalueError:
+            raise
+        except CarlemanError:
+            pass  # the float route reports its own error
     var_names = reduced_variable_names(system, names)
     reduced, transformed, combined = resolve_transform(system, opts)
     w = reduced.k
@@ -531,6 +542,45 @@ def solve(system: PolySystem, opts: Optional[SolveOptions] = None,
     spectral = decompose(transition.rows, mode, rows=var_rows)
     return _assemble(transformed, basis, spectral, var_rows, combined,
                      var_names)
+
+
+def _exact_options(opts: SolveOptions) -> Optional[SolveOptions]:
+    """opts for a float system's exact twin, each explicit shift or matrix
+    entry as Fraction(x.real); None when one is not a finite real."""
+    def exact(values):
+        values = _convert_vector(values, Mode.FLOAT)
+        if any(x.imag or not math.isfinite(x.real) for x in values):
+            raise ValueError("no real value")
+        return [Fraction(x.real) for x in values]
+    try:
+        return dataclasses.replace(
+            opts, mode=Mode.EXACT,
+            shift=opts.shift if isinstance(opts.shift, str) else exact(opts.shift),
+            matrix=opts.matrix and [exact(row) for row in opts.matrix])
+    except (CarlemanError, ValueError):
+        return None
+
+
+def _rounded(solution: ClosedFormSolution) -> ClosedFormSolution:
+    """An exact solution in float mode, every scalar rounded once."""
+    mode = Mode.FLOAT
+
+    def vector(values):
+        return tuple(map(mode.from_fraction, values))
+
+    def table(cells):
+        sums = ((m, ExpSum.from_terms(mode, [vector(bc) for bc in s.terms]))
+                for m, s in cells.items())
+        return {m: s for m, s in sums if not s.is_zero()}
+    transform = solution.transform
+    return dataclasses.replace(
+        solution, mode=mode, offsets=vector(solution.offsets),
+        tables=tuple(map(table, solution.tables)),
+        transformed=tuple(map(table, solution.transformed)),
+        transform=TransformParams(
+            matrix=tuple(map(vector, transform.matrix)),
+            offset=vector(transform.offset),
+            matrix_inv=tuple(map(vector, transform.matrix_inv)), mode=mode))
 
 
 def reduced_variable_names(system: PolySystem,

@@ -28,7 +28,7 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,12 +43,17 @@ from .scalars import Mode, Scalar, format_scalar, nearly_equal, sort_key
 
 @dataclass(frozen=True)
 class PolySystem:
-    """k update polynomials over the depth*k flattened lag variables."""
+    """k update polynomials over the depth*k flattened lag variables.
+
+    A float system parsed from text carries exact, the same system in
+    exact mode with each literal's own value, for solve to run first;
+    systems derived from it carry none."""
 
     k: int
     depth: int
     polys: Tuple[Poly, ...]
     mode: Mode
+    exact: Optional[PolySystem] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1 or self.depth < 1:
@@ -138,7 +143,7 @@ def reduce_depth(system: PolySystem) -> PolySystem:
     at step i equals original variable l at step i - j.
     """
     if system.depth == 1:
-        return system
+        return replace(system, exact=None) if system.exact else system
     k, depth = system.k, system.depth
     width = k * depth
     one = system.mode.one

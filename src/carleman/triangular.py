@@ -13,48 +13,42 @@ for b from a-1 down to 0 and l from j+1 up to n-1. P and P^-1 are unit
 upper triangular, and the factorization is what the closed-form solver
 reads its coefficients from.
 
-Exact mode solves only the rows of P its caller asks for, each from
+Both modes solve only the rows of P their caller asks for, each from
 x P^-1 = e_r by forward substitution; P is never inverted. Rows r of P
 and P^-1 are nonzero only on indices reachable from r along T[b][c] != 0,
-so exact mode solves from T, as left eigenvectors, just the reachable
+so decompose solves from T, as left eigenvectors, just the reachable
 rows of P^-1 (the symbolic step of a sparse triangular solve, Gilbert and
 Peierls, SIAM J. Sci. Stat. Comput. 9(5), 1988) and leaves the others
-empty. Float mode keeps right eigenvectors and inverts P: the
-left-eigenvector route sums in another order, and its float digits fail
-more verifies.
+empty.
 
-The exact route is fraction-free, in the spirit of Bareiss (Math. Comp.
-22, 1968). A forward substitution along M scatters each final x[j] over
-row j of M as integer pairs, added into a running sum acc / L per
-pending column; L widens by a gcd only when a product's denominator does
-not divide it, and columns are finished ascending from a heap. Each
-stored entry is one Fraction: with D[j][j] = n_j/d_j, y[l] = acc d_j d_l
-/ (L (n_j d_l - n_l d_j)), and a row x of P has x[c] = -acc / L. A zero
-sum is neither stored nor scattered, so a row of P^-1 takes at most
-nnz(T) products and a row of P at most nnz(P^-1).
+The route is fraction-free, in the spirit of Bareiss (Math. Comp. 22,
+1968). A forward substitution along M scatters each final x[j] over row
+j of M as integer pairs, added into a running sum acc / L per pending
+column; L widens by a gcd only when a product's denominator does not
+divide it, and columns are finished ascending from a heap. Each stored
+exact entry is one Fraction: with D[j][j] = n_j/d_j, y[l] = acc d_j d_l
+/ (L (n_j d_l - n_l d_j)), and a row x of P has x[c] = -acc / L. A float
+entry rides the same loop as the pair (x, 1), so its sum is added in
+ascending j and y[l] = acc / (D[j][j] - D[l][l]). A zero sum is neither
+stored nor scattered, so a row of P^-1 takes at most nnz(T) products and
+a row of P at most nnz(P^-1).
 
 T, P and P^-1 are stored by rows, each row a dict {column: value} that
-holds only nonzero entries (transition matrices are 2-25% full). A float
-column of P is scattered the same way, bottom up, into the rows b with
-T[b][c] != 0, and P^-1 from P takes at most n nnz(P) products, instead
-of the dense loops' O(n^3). Each float sum still runs over c ascending
-from a zero start, exactly like the dense loop, so float results are
-bit-identical to it.
+holds only nonzero entries (transition matrices are 2-25% full).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import RepeatedEigenvalueError
 from .linalg import is_upper_triangular
-from .scalars import Mode, Scalar, format_scalar, nearly_equal, ordered_sum
-
-SparseMatrix = List[Dict[int, Scalar]]
+from .scalars import Mode, Scalar, format_scalar, nearly_equal
 
 # float diagonal entries this close (relative) count as repeated
 _COLLISION_TOL = 1e-9
@@ -66,9 +60,9 @@ class SpectralDecomposition:
 
     modal and modal_inv are tuples of n sparse rows: absent entries are
     zero. When decompose was asked for only some rows of modal, every
-    other row of modal is an empty dict. In exact mode so is every row of
-    modal_inv that no requested row reaches along T[b][c] != 0, on which
-    the requested rows of modal are zero.
+    other row of modal is an empty dict, and so is every row of modal_inv
+    that no requested row reaches along T[b][c] != 0, on which the
+    requested rows of modal are zero. Both modes keep this contract.
     """
 
     eigenvalues: Tuple[Scalar, ...]
@@ -101,75 +95,24 @@ def _check_distinct_diagonal(diagonal: Sequence[Scalar], mode: Mode) -> None:
             f"repeated diagonal entries: {shown}{more}", collisions=tuple(collisions))
 
 
-def _strict_columns(rows: Sequence[Dict[int, Scalar]]
-                    ) -> List[List[Tuple[int, Scalar]]]:
-    """columns[c] lists (b, M[b][c]) for the nonzero entries above the
-    diagonal in column c."""
-    columns: List[List[Tuple[int, Scalar]]] = [[] for _ in rows]
-    for b, row in enumerate(rows):
-        for c, value in row.items():
-            if c > b and value != 0:
-                columns[c].append((b, value))
-    return columns
+def _integer_rows(rows: Sequence[Dict[int, Scalar]]
+                  ) -> List[List[Tuple[int, Scalar, int]]]:
+    """The nonzero entries right of the diagonal in each row, as
+    (column, numerator, denominator): an exact entry's integers, a float
+    entry over 1."""
+    return [[(c, x.numerator, x.denominator) if isinstance(x, Fraction)
+             else (c, x, 1) for c, x in row.items() if c > b and x != 0]
+            for b, row in enumerate(rows)]
 
 
-def _solve_column(columns: List[List[Tuple[int, Scalar]]], a: int, top: Scalar,
-                  finish: Callable[[int, list], Scalar]) -> Dict[int, Scalar]:
-    """One column of a triangular back substitution, nonzeros only.
-
-    x[a] = top, and for b < a, x[b] = finish(b, products) where products
-    lists the factor pairs (M[b][c], x[c]) for c in (b, a] ascending, the
-    order of the dense loop. A product with x[c] = 0 is left out: a float
-    sum started at +0 never holds a -0 part, and adding a signed zero to
-    +0 or to a nonzero part changes no bit.
-    """
-    column: Dict[int, Scalar] = {}
-    pending: Dict[int, list] = {}
-    rows_left: List[int] = []  # max-heap of the rows in pending, negated
-    c, value = a, top
-    while True:
-        if value != 0:
-            column[c] = value
-            for b, entry in columns[c]:
-                products = pending.get(b)
-                if products is None:
-                    pending[b] = [(entry, value)]
-                    heapq.heappush(rows_left, -b)
-                else:
-                    products.append((entry, value))
-        if not rows_left:
-            return column
-        c = -heapq.heappop(rows_left)
-        products = pending.pop(c)
-        products.reverse()
-        value = finish(c, products)
-
-
-def _rows_from_columns(columns: Sequence[Dict[int, Scalar]]) -> SparseMatrix:
-    """Row-major form, each row's columns ascending."""
-    rows: SparseMatrix = [{} for _ in columns]
-    for a, column in enumerate(columns):
-        for b, value in column.items():
-            rows[b][a] = value
-    return rows
-
-
-def _integer_rows(rows: Sequence[Dict[int, Fraction]]
-                  ) -> List[List[Tuple[int, int, int]]]:
-    """The nonzero entries right of the diagonal in each exact row, as
-    (column, numerator, denominator)."""
-    return [[(c, x.numerator, x.denominator) for c, x in row.items()
-             if c > b and x != 0] for b, row in enumerate(rows)]
-
-
-def _forward_row(rows: List[List[Tuple[int, int, int]]], r: int,
-                 finish: Callable[[int, int, int], Fraction]
-                 ) -> Dict[int, Fraction]:
-    """One exact row of a forward substitution along M, nonzeros only,
-    columns ascending: x[r] = 1 and, for c > r, x[c] = finish(c, acc, L)
-    with acc / L the sum over j in [r, c) of x[j] M[j][c], kept as a
-    running integer sum; rows is _integer_rows(M)."""
-    out: Dict[int, Fraction] = {}
+def _forward_row(rows: List[List[Tuple[int, Scalar, int]]], r: int, one: Scalar,
+                 finish: Callable[[int, Scalar, int], Scalar]
+                 ) -> Dict[int, Scalar]:
+    """One row of a forward substitution along M, nonzeros only, columns
+    ascending: x[r] = one and, for c > r, x[c] = finish(c, acc, L) with
+    acc / L the sum over j in [r, c) of x[j] M[j][c], kept as a running
+    sum of integer pairs (a float over 1); rows is _integer_rows(M)."""
+    out: Dict[int, Scalar] = {}
     pending = {r: [1, 1]}
     columns_left = [r]  # min-heap of the columns in pending
     while columns_left:
@@ -177,8 +120,8 @@ def _forward_row(rows: List[List[Tuple[int, int, int]]], r: int,
         acc, common = pending.pop(c)
         if not acc:
             continue
-        x = out[c] = finish(c, acc, common) if out else Fraction(1)
-        num, den = x.numerator, x.denominator
+        x = out[c] = finish(c, acc, common) if out else one
+        num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
         for l, n, d in rows[c]:
             n, d = n * num, d * den
             entry = pending.get(l)
@@ -200,67 +143,39 @@ def decompose(matrix: Sequence[Dict[int, Scalar]], mode: Mode,
     diagonal.
 
     rows, when given, lists the rows of modal the caller reads; the other
-    rows of modal come back empty. Exact mode then computes only those
-    rows and the rows of modal_inv they reach; see SpectralDecomposition.
+    rows of modal come back empty. Only those rows and the rows of
+    modal_inv they reach are computed; see SpectralDecomposition.
     """
     n = len(matrix)
-    if not is_upper_triangular(matrix, 0.0 if mode is Mode.EXACT else 1e-12):
+    exact = mode is Mode.EXACT
+    if not is_upper_triangular(matrix, 0.0 if exact else 1e-12):
         raise ValueError("decompose expects an upper-triangular matrix")
-    zero, one = mode.zero, mode.one
-    diagonal = [matrix[i].get(i, zero) for i in range(n)]
+    diagonal = [matrix[i].get(i, mode.zero) for i in range(n)]
     _check_distinct_diagonal(diagonal, mode)
     wanted = set(range(n) if rows is None else rows)
     if not wanted <= set(range(n)):
         raise ValueError(f"requested rows {sorted(wanted)} exceed size {n}")
-    if mode is Mode.EXACT:
-        # row j of P^-1 is T's left eigenvector, and row r of P solves
-        # x P^-1 = e_r
-        nums = [x.numerator for x in diagonal]
-        dens = [x.denominator for x in diagonal]
-        by_row = _integer_rows(matrix)
-        # wanted and every index it reaches: T[b][c] != 0 only for c > b,
-        # so one ascending sweep finds them all
-        solved = set(wanted)
-        for b in range(n):
-            if b in solved:
-                solved.update(c for c, _, _ in by_row[b])
-        modal_inv = [_forward_row(by_row, j, lambda l, acc, common, j=j: Fraction(
-            acc * dens[j] * dens[l], common * (nums[j] * dens[l] - nums[l] * dens[j])))
-            if j in solved else {} for j in range(n)]
-        by_row = _integer_rows(modal_inv)
-        modal = [_forward_row(by_row, r, lambda c, acc, common: Fraction(-acc, common))
-                 if r in wanted else {} for r in range(n)]
-    else:
-        # float keeps right eigenvectors and an inversion: left
-        # eigenvectors sum in another order, and their digits fail more
-        # float verifies
-        upper = _strict_columns(matrix)
-        modal = _rows_from_columns([
-            _solve_column(upper, a, one, lambda b, products, lam=diagonal[a]:
-                          ordered_sum(products, zero) / (lam - diagonal[b]))
-            for a in range(n)])
-        modal_inv = invert_unit_triangular(modal, mode)
-        modal = [row if r in wanted else {} for r, row in enumerate(modal)]
+    # row j of P^-1 is T's left eigenvector, and row r of P solves
+    # x P^-1 = e_r; D[j][j] = n_j / d_j, a float over 1
+    nums = [x.numerator if exact else x for x in diagonal]
+    dens = [x.denominator if exact else 1 for x in diagonal]
+    ratio = Fraction if exact else operator.truediv
+    by_row = _integer_rows(matrix)
+    # wanted and every index it reaches: T[b][c] != 0 only for c > b, so
+    # one ascending sweep finds them all
+    solved = set(wanted)
+    for b in range(n):
+        if b in solved:
+            solved.update(c for c, _, _ in by_row[b])
+    modal_inv = [_forward_row(by_row, j, mode.one, lambda l, acc, common, j=j: ratio(
+        acc * dens[j] * dens[l], common * (nums[j] * dens[l] - nums[l] * dens[j])))
+        if j in solved else {} for j in range(n)]
+    by_row = _integer_rows(modal_inv)
+    modal = [_forward_row(by_row, r, mode.one, lambda c, acc, common: ratio(-acc, common))
+             if r in wanted else {} for r in range(n)]
     return SpectralDecomposition(
         eigenvalues=tuple(diagonal),
         modal=tuple(modal),
         modal_inv=tuple(modal_inv),
         mode=mode,
     )
-
-
-def invert_unit_triangular(matrix: Sequence[Dict[int, Scalar]],
-                           mode: Mode) -> SparseMatrix:
-    """Invert a sparse upper-triangular matrix by back substitution.
-
-    Works for any nonzero diagonal, not just unit; named for the common
-    caller which always hands in unit-diagonal modal matrices.
-    """
-    n = len(matrix)
-    zero, one = mode.zero, mode.one
-    diagonal = [matrix[i].get(i, zero) for i in range(n)]
-    upper = _strict_columns(matrix)
-    return _rows_from_columns([
-        _solve_column(upper, m, one / diagonal[m], lambda b, products:
-                      -ordered_sum(products, zero) / diagonal[b])
-        for m in range(n)])

@@ -36,8 +36,12 @@ lcm_sum_pullback() joins the last two. They are the oracles for the
 integer products and sums of build_transition and solver._pullback.
 lcm_sum_decompose() is exact decompose as it was before it solved only
 the rows of P^-1 reachable() from the requested rows of P: every row by
-_solve_row(), a back substitution by triangular._solve_column along the
+_solve_row(), a back substitution by _solve_column() along the
 anti-transpose (_reversed_rows()) whose entries are each one lcm_sum().
+invert_unit_triangular() is float decompose's inversion of P before both
+modes shared the forward substitution, and _solve_column() its column
+back substitution over _strict_columns(), with every float sum an
+ordered_sum(); _rows_from_columns() turns the columns into rows.
 chain_sum_eigenvector_entry() and chain_sum_inverse_entry() give single
 entries of P and P^-1 as sums over strictly increasing index chains, the
 paper's combinatorial formulas; they are exponential in matrix size.
@@ -58,6 +62,7 @@ ExpSum.from_terms, sorting bases by the 1-tuple key tuple_sort_key(). It
 is the oracle for the stored-solution reader, results and errors alike.
 """
 
+import heapq
 import math
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -68,8 +73,8 @@ from carleman.linalg import Matrix, identity, mat_mul, mat_vec
 from carleman.errors import ArityError, CarlemanError, SizeLimitError
 from carleman.poly import (Monomial, Poly, affine_images, grlex_key,
                            within_cutoff)
-from carleman.scalars import (Mode, Scalar, nearly_equal, ordered_sum,
-                              over_lcm, scalar_from_json)
+from carleman.scalars import (Mode, Scalar, nearly_equal, over_lcm,
+                              scalar_from_json)
 from carleman.solver import (ClosedFormSolution, ExpSum, VerificationReport,
                              VerificationRow, _FLOAT_COEFF_DROP,
                              _FLOAT_CONSTANT_TOL, _FLOAT_MERGE_TOL,
@@ -77,7 +82,8 @@ from carleman.solver import (ClosedFormSolution, ExpSum, VerificationReport,
                              _clean_float_constants, _integer_system)
 from carleman.systems import (PolySystem, TransformParams, apply_affine,
                               reduce_depth)
-from carleman.triangular import _solve_column
+
+SparseMatrix = List[Dict[int, Scalar]]
 
 
 def dense(rows: Sequence[Dict[int, Scalar]], mode: Mode = Mode.EXACT) -> Matrix:
@@ -123,6 +129,84 @@ def dense_invert_triangular(matrix: Matrix, mode: Mode) -> Matrix:
                     acc = acc + matrix[b][j] * out[j][m]
             out[b][m] = -acc / matrix[b][b]
     return out
+
+
+def ordered_sum(products: Sequence[Tuple[Scalar, Scalar]], zero: Scalar) -> Scalar:
+    """The sum of a * b over products, added in order onto zero."""
+    acc = zero
+    for a, b in products:
+        acc = acc + a * b
+    return acc
+
+
+def _strict_columns(rows: Sequence[Dict[int, Scalar]]
+                    ) -> List[List[Tuple[int, Scalar]]]:
+    """columns[c] lists (b, M[b][c]) for the nonzero entries above the
+    diagonal in column c."""
+    columns: List[List[Tuple[int, Scalar]]] = [[] for _ in rows]
+    for b, row in enumerate(rows):
+        for c, value in row.items():
+            if c > b and value != 0:
+                columns[c].append((b, value))
+    return columns
+
+
+def _solve_column(columns: List[List[Tuple[int, Scalar]]], a: int, top: Scalar,
+                  finish: Callable[[int, list], Scalar]) -> Dict[int, Scalar]:
+    """One column of a triangular back substitution, nonzeros only.
+
+    x[a] = top, and for b < a, x[b] = finish(b, products) where products
+    lists the factor pairs (M[b][c], x[c]) for c in (b, a] ascending, the
+    order of the dense loop. A product with x[c] = 0 is left out: a float
+    sum started at +0 never holds a -0 part, and adding a signed zero to
+    +0 or to a nonzero part changes no bit.
+    """
+    column: Dict[int, Scalar] = {}
+    pending: Dict[int, list] = {}
+    rows_left: List[int] = []  # max-heap of the rows in pending, negated
+    c, value = a, top
+    while True:
+        if value != 0:
+            column[c] = value
+            for b, entry in columns[c]:
+                products = pending.get(b)
+                if products is None:
+                    pending[b] = [(entry, value)]
+                    heapq.heappush(rows_left, -b)
+                else:
+                    products.append((entry, value))
+        if not rows_left:
+            return column
+        c = -heapq.heappop(rows_left)
+        products = pending.pop(c)
+        products.reverse()
+        value = finish(c, products)
+
+
+def _rows_from_columns(columns: Sequence[Dict[int, Scalar]]) -> SparseMatrix:
+    """Row-major form, each row's columns ascending."""
+    rows: SparseMatrix = [{} for _ in columns]
+    for a, column in enumerate(columns):
+        for b, value in column.items():
+            rows[b][a] = value
+    return rows
+
+
+def invert_unit_triangular(matrix: Sequence[Dict[int, Scalar]],
+                           mode: Mode) -> SparseMatrix:
+    """Invert a sparse upper-triangular matrix by back substitution.
+
+    Works for any nonzero diagonal, not just unit; named for the common
+    caller which always hands in unit-diagonal modal matrices.
+    """
+    n = len(matrix)
+    zero, one = mode.zero, mode.one
+    diagonal = [matrix[i].get(i, zero) for i in range(n)]
+    upper = _strict_columns(matrix)
+    return _rows_from_columns([
+        _solve_column(upper, m, one / diagonal[m], lambda b, products:
+                      -ordered_sum(products, zero) / diagonal[b])
+        for m in range(n)])
 
 
 def power_from_decomposition(spec, exponent: int) -> Matrix:

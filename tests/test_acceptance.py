@@ -19,12 +19,13 @@ from carleman.solver import (SolveOptions, history_to_reduced_state,
                              oracle_iterate_symbolic, resolve_transform,
                              solve, verify)
 from carleman.systems import TransformParams, apply_affine, reduce_depth
-from carleman.triangular import decompose, invert_unit_triangular
+from carleman.triangular import decompose
 
 from conftest import (random_dsl_system, random_triangular_system,
                       random_upper_triangular)
 from oracles import (chain_sum_eigenvector_entry, chain_sum_inverse_entry,
-                     dense, matrix_power, power_from_decomposition, sparse)
+                     dense, invert_unit_triangular, matrix_power,
+                     power_from_decomposition, sparse)
 
 F = Fraction
 

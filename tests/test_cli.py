@@ -6,6 +6,7 @@ path runs exactly as a shell invocation would.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -537,6 +538,51 @@ def test_float_complex_spectrum_verifies(tmp_path, capsys):
                  "v[i] = u[i-1] + 1/2*v[i-1] + u[i-1]*v[i-1]\n")
     assert main(["verify", path, "--mode", "float"]) == 0
     assert "result: PASS" in capsys.readouterr().out
+
+
+# eigenvalues 2, 2 and 3 with three eigenvectors: a diagonalizable double
+# eigenvalue, whose float roots come out about 4e-8 apart
+DOUBLE_EIGENVALUE = ("vars: u, v, w\n"
+                     "u[i] = 7/3*u[i-1] + 2/3*w[i-1] + u[i-1]^2\n"
+                     "v[i] = -1/3*u[i-1] + 2*v[i-1] - 2/3*w[i-1]\n"
+                     "w[i] = 1/3*u[i-1] + 8/3*w[i-1]\n")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_double_eigenvalue_names_the_collision(tmp_path, capsys, mode):
+    path = write(tmp_path, DOUBLE_EIGENVALUE)
+    assert main(["solve", path, "--mode", mode, "--shift", "0,0,0",
+                 "--order", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: admissibility: eigenvalue products collide")
+    assert "(1, 0, 0) and (0, 1, 0) both give 2;" in err
+
+
+# the exact rational-root search would trial-divide up to 1.4e7 and 1e9,
+# or test 6720 * 6720 candidate roots
+LONG_COEFFICIENTS = [
+    ("vars: u\nu[i] = 0.123456789012345*u[i-1]^2 + 1/2*u[i-1] + 1/10\n",
+     "a 14-digit coefficient needs over 1000000 trial divisions", 0),
+    ("vars: u\nu[i] = 1000000000000000003*u[i-1]^2 + 1\n",
+     "a 19-digit coefficient needs over 1000000 trial divisions", 2),
+    ("vars: u\nu[i] = 963761198400*u[i-1]^2 + 963761198400\n",
+     "45158400 candidates exceed 1000000", 0),
+]
+
+
+@pytest.mark.parametrize("text, reason, float_exit", LONG_COEFFICIENTS)
+def test_long_coefficients_end_the_root_search(tmp_path, capsys, text, reason,
+                                               float_exit):
+    path = write(tmp_path, text)
+    start = time.perf_counter()
+    assert main(["solve", path, "--order", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: rational root search: {reason}; use --mode float\n")
+    # the exact twin refuses alike, and the float route gives the answer
+    assert main(["solve", path, "--order", "3", "--mode", "float"]) == float_exit
+    err = capsys.readouterr().err
+    assert err == "" if float_exit == 0 else err.startswith("error: shift: ")
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

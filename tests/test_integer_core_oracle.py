@@ -14,9 +14,12 @@ the same order with every entry within TRANSITION_TOL of the oracle's
 (relative, scaled by at least 1), and a float solution swapped onto the
 oracles keeps its refusals, cells and term counts, with every base (a
 diagonal entry of T) within TRANSITION_TOL relative and every
-coefficient within SOLUTION_TOL relative.
+coefficient within SOLUTION_TOL relative. Those float systems carry
+their exact twins, so wherever a twin solves, both sides are the
+rounding of an exact solve.
 """
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -228,9 +231,13 @@ def assert_near_solution(got, want):
 
 
 def solution_json(system, order, mode, options):
+    """A solve's JSON text, or its refusal; a float system carries its
+    exact twin, as parse_system gives it."""
+    moved = in_mode(system, mode)
+    if mode is Mode.FLOAT:
+        moved = dataclasses.replace(moved, exact=system)
     try:
-        solution = solve(in_mode(system, mode),
-                         SolveOptions(order=order, mode=mode, **options))
+        solution = solve(moved, SolveOptions(order=order, mode=mode, **options))
     except CarlemanError as exc:
         return f"{type(exc).__name__}: {exc}"
     return json.dumps(solution.to_json())

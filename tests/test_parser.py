@@ -1,5 +1,6 @@
 """DSL frontend: grammar, diagnostics, lowering, round-trips."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from carleman import NonPolynomialError, ParseError
 from carleman.parser import parse_system, pretty_print
 from carleman.scalars import Mode
+from carleman.systems import TransformParams, apply_affine, reduce_depth
 
 from conftest import random_dsl_system
 
@@ -77,6 +79,27 @@ def test_literal_forms():
 def test_float_mode_lowering():
     system, _ = parse_system(LOGISTIC, Mode.FLOAT)
     assert system.polys[0].terms == {(1,): complex(2), (2,): complex(-2)}
+
+
+def test_float_parse_carries_the_exact_parse():
+    texts = [LOGISTIC, COUPLED, random_dsl_system(random.Random(3)),
+             "vars: u\nu[i] = 0.1*u[i-1] + 1/3*u[i-2]^2 - 2/5\n"]
+    for text in texts:
+        system, names = parse_system(text, Mode.FLOAT)
+        exact, exact_names = parse_system(text, Mode.EXACT)
+        assert system.exact == exact and names == exact_names
+        assert system.exact.mode is Mode.EXACT and exact.exact is None
+        # the twin keeps each literal's own value, not its double's
+        assert all(c.denominator < 2 ** 20 for p in system.exact.polys
+                   for c in p.terms.values())
+        # derived systems carry no twin, and the twin takes no part in ==
+        # or repr
+        flat = reduce_depth(system)
+        assert flat.exact is None
+        assert apply_affine(flat, TransformParams.identity(flat.k, Mode.FLOAT)
+                            ).exact is None
+        assert system == dataclasses.replace(system, exact=None)
+        assert repr(system) == repr(dataclasses.replace(system, exact=None))
 
 
 def test_float_lowering_golden():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import carleman.solver
 from carleman import (
     ArityError, CarlemanError, ExpSum, RepeatedEigenvalueError,
     ShiftNotFoundError, SolveOptions, eval_direct, history_to_reduced_state,
@@ -375,9 +376,10 @@ def test_verify_reports_per_step_rows():
 
 
 def test_failing_verify_names_its_worst_row():
-    # float coefficients of the coupled sample lose digits to cancellation
+    # float coefficients of the coupled sample lose digits to cancellation;
+    # rounded once from the exact solve, they pass at order 4 and fail at 6
     system, names = load(COUPLED, Mode.FLOAT)
-    solution = solve(system, SolveOptions(order=4, mode=Mode.FLOAT,
+    solution = solve(system, SolveOptions(order=6, mode=Mode.FLOAT,
                                           matrix=MATRIX_A), names)
     report = verify(solution, system)
     assert not report.passed
@@ -571,17 +573,56 @@ def test_mode_mismatch_is_an_error():
 
 
 # float systems with no rational fixed point or spectrum stay on the float
-# route: an irrational fixed point, and eigenvalues 1/2 +- i
+# route: an irrational fixed point, eigenvalues 1/2 +- i, and the golden
+# ratio phi with psi = -1/phi
 IRRATIONAL_FIXED_POINT = "vars: u\nu[i] = 1/2*u[i-1] + u[i-1]^2 - 1/10\n"
 ROTATION = ("vars: u, v\n"
             "u[i] = 1/2*u[i-1] - v[i-1] + u[i-1]^2\n"
             "v[i] = u[i-1] + 1/2*v[i-1] + u[i-1]*v[i-1]\n")
+FIB_FLOAT = "vars: u\nu[i] = u[i-1] + u[i-2] + 1/10*u[i-1]^2\n"
 
 
-@pytest.mark.parametrize("text", [IRRATIONAL_FIXED_POINT, ROTATION])
+@pytest.mark.parametrize("text", [IRRATIONAL_FIXED_POINT, ROTATION, FIB_FLOAT])
 @pytest.mark.parametrize("order", range(2, 9))
-def test_float_solutions_pass_their_own_verify(text, order):
+def test_float_solutions_pass_their_own_verify(monkeypatch, text, order):
+    def refuse(solution):
+        raise AssertionError("an exact twin solved")
+
+    monkeypatch.setattr(carleman.solver, "_rounded", refuse)
     system, names = load(text, Mode.FLOAT)
-    solution = solve(system, SolveOptions(order=order, mode=Mode.FLOAT), names)
-    report = verify(solution, system)
+    opts = SolveOptions(order=order, mode=Mode.FLOAT)
+    if text == FIB_FLOAT and order >= 4:
+        # (phi psi)^2 = 1: the products collide from order 4 at both
+        # fixed points
+        with pytest.raises(CarlemanError):
+            solve(system, opts, names)
+        return
+    report = verify(solve(system, opts, names), system)
     assert report.passed, report.describe()
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+def test_float_coupled_is_the_exact_solve_rounded(order):
+    exact_system, names = load(COUPLED)
+    system, _ = load(COUPLED, Mode.FLOAT)
+    exact = solve(exact_system, SolveOptions(order=order, matrix=MATRIX_A),
+                  names)
+    got = solve(system, SolveOptions(order=order, mode=Mode.FLOAT,
+                                     matrix=MATRIX_A), names)
+
+    def rounded(values):
+        return tuple(complex(float(x)) for x in values)
+
+    assert got.mode is Mode.FLOAT and got.order == order
+    assert got.offsets == rounded(exact.offsets)
+    assert got.transform.matrix == tuple(map(rounded, exact.transform.matrix))
+    assert got.transform.matrix_inv == tuple(
+        map(rounded, exact.transform.matrix_inv))
+    for tables, want in ((got.tables, exact.tables),
+                         (got.transformed, exact.transformed)):
+        for table, exact_table in zip(tables, want, strict=True):
+            assert table.keys() == exact_table.keys()
+            for mono, exact_sum in exact_table.items():
+                # bases are distinct integers: nothing merges or drops
+                assert sorted(table[mono].terms, key=lambda t: t[0].real) == [
+                    rounded(term) for term in exact_sum.terms]

@@ -9,11 +9,12 @@ from carleman import RepeatedEigenvalueError, parse_system
 from carleman.embedding import MonomialBasis, build_transition
 from carleman.linalg import identity, mat_mul
 from carleman.scalars import Mode
-from carleman.triangular import decompose, invert_unit_triangular
+from carleman.triangular import decompose
 
 from conftest import random_upper_triangular
 from oracles import (chain_sum_eigenvector_entry, chain_sum_inverse_entry,
-                     dense, power_from_decomposition, sparse)
+                     dense, invert_unit_triangular, power_from_decomposition,
+                     sparse)
 
 F = Fraction
 
