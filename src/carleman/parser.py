@@ -11,18 +11,18 @@ Right-hand sides are polynomial expressions in lagged references
 `name[i-j]` with j >= 1. Multiplication is always explicit (`*`),
 exponents are non-negative integer literals, and `/` is legal only
 inside a rational literal such as `3/4` (written without spaces).
-Decimal literals like `0.5` mean the exact decimal fraction and are
-converted per scalar mode as they are read.
+Decimal literals like `0.5` mean the exact decimal fraction.
 
 parse_system() splits the text into tokens with one regular expression,
 then one recursive descent checks names and lags and builds each
-right-hand side directly as a Poly over the flattened lag variables
-(lag-1 variables first, then lag-2, and so on). The depth, and so the
-width of every Poly, is read from the tokens before the first equation.
-A lexical error anywhere is reported first; after that, the first error
-the descent reads, a float literal too large for a double included.
-In Float mode the descent runs again, in Exact mode, over the same
-tokens; that exact twin rides along as PolySystem.exact.
+right-hand side directly as an exact Poly over the flattened lag
+variables (lag-1 variables first, then lag-2, and so on). The depth, and
+so the width of every Poly, is read from the tokens before the first
+equation. A lexical error anywhere is reported first; after that, the
+first error the descent reads, a float literal too large for a double
+included. In Float mode each coefficient is then rounded once, one that
+overflows a double refused at its equation, and the exact system rides
+along as PolySystem.exact.
 pretty_print() renders a system back to canonical text: terms in
 descending total degree, ties in the monomial-basis order, coefficient
 1 omitted, exponent 1 omitted.
@@ -115,13 +115,14 @@ _DIVISION = "division is only allowed inside a rational literal like 3/4"
 
 
 class _Parser:
-    """One pass over the tokens; each expression method returns the Poly
-    it denotes, over depth * k flattened variables."""
+    """One pass over the tokens; each expression method returns the exact
+    Poly it denotes, over depth * k flattened variables."""
 
     def __init__(self, tokens: List[Token], mode: Mode):
         self.tokens = tokens
         self.pos = 0
-        self.mode = mode
+        self.mode = mode  # in Float mode, a literal past a double is refused
+        self.spans: Dict[str, SourceSpan] = {}  # each equation's name
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -151,14 +152,13 @@ class _Parser:
                 raise ParseError(f"duplicate equation for {name_tok.text!r}",
                                  name_tok.span)
             polys[name_tok.text] = poly
+            self.spans[name_tok.text] = name_tok.span
         for name, span in zip(names, name_spans):
             if name not in polys:
                 raise ParseError(f"missing equation for declared variable {name!r}",
                                  span)
-        system = PolySystem(k=len(names), depth=depth,
-                            polys=tuple(polys[name] for name in names),
-                            mode=self.mode)
-        return system, names
+        return PolySystem(k=len(names), depth=depth, mode=Mode.EXACT,
+                          polys=tuple(polys[name] for name in names)), names
 
     # header: 'vars' ':' ident (',' ident)*
     def parse_header(self) -> Tuple[List[str], List[SourceSpan]]:
@@ -184,14 +184,18 @@ class _Parser:
         self.expect("NEWLINE", "end of header line")
         return names, spans
 
-    def parse_equation(self) -> Tuple[Token, Poly]:
-        name_tok = self.expect("IDENT", "a variable name starting an equation")
+    def indexed_name(self, name_tok: Token, side: str) -> None:
+        """A declared name_tok, then '[i'; side begins the error for another index."""
         if name_tok.text not in self.index_of:
             raise ParseError(f"undeclared variable {name_tok.text!r}", name_tok.span)
         self.expect("LBRACK", "'[' after the variable name")
         idx_tok = self.expect("IDENT", "the recurrence index 'i'")
         if idx_tok.text != "i":
-            raise ParseError("the left side must be indexed by 'i'", idx_tok.span)
+            raise ParseError(f"{side} must be indexed by 'i'", idx_tok.span)
+
+    def parse_equation(self) -> Tuple[Token, Poly]:
+        name_tok = self.expect("IDENT", "a variable name starting an equation")
+        self.indexed_name(name_tok, "the left side")
         self.expect("RBRACK", "']' closing the left side (left sides are not lagged)")
         self.expect("EQUALS", "'='")
         rhs = self.parse_expr()
@@ -232,7 +236,8 @@ class _Parser:
             raise ParseError("exponent must be a non-negative integer literal",
                              exp_tok.span if exp_tok.kind != "EOF" else caret.span)
         self.advance()
-        return poly.pow_truncated(int(exp_tok.text)).scaled(self.mode.one)
+        e = int(exp_tok.text)  # pow_truncated(0) is the int 1, not a Fraction
+        return poly.pow_truncated(e) if e else Poly.constant(self.width, Fraction(1))
 
     def parse_base(self) -> Poly:
         tok = self.peek()
@@ -257,21 +262,16 @@ class _Parser:
                          tok.span)
 
     def constant(self, value: Fraction, span: SourceSpan) -> Poly:
-        """A literal in this mode; one too large for a double is refused."""
+        """An exact literal; in Float mode one too large for a double is refused."""
         try:
-            scalar = self.mode.from_fraction(value)
+            self.mode.from_fraction(value)
         except CarlemanError as exc:
             raise ParseError(str(exc), span) from exc
-        return Poly.constant(self.width, scalar)
+        return Poly.constant(self.width, value)
 
     def parse_var_ref(self) -> Poly:
         name_tok = self.advance()
-        if name_tok.text not in self.index_of:
-            raise ParseError(f"undeclared variable {name_tok.text!r}", name_tok.span)
-        self.expect("LBRACK", "'[' after the variable name")
-        idx_tok = self.expect("IDENT", "the recurrence index 'i'")
-        if idx_tok.text != "i":
-            raise ParseError("references must be indexed by 'i'", idx_tok.span)
+        self.indexed_name(name_tok, "references")
         nxt = self.peek()
         if nxt.kind == "RBRACK":
             raise ParseError(
@@ -289,21 +289,27 @@ class _Parser:
             raise ParseError(f"lag must be at least 1, got {lag}", lag_tok.span)
         self.expect("RBRACK", "']'")
         flat = (lag - 1) * len(self.index_of) + self.index_of[name_tok.text]
-        return Poly.variable(self.width, flat).scaled(self.mode.one)
+        return Poly.variable(self.width, flat)
 
 
 def parse_system(text: str, mode: Mode) -> Tuple[PolySystem, List[str]]:
     """Parse DSL text into a PolySystem over the flattened lag variables,
     returning the declared names as well. Variable (name index l, lag j)
-    becomes flattened index (j-1)*k + l. Literals are converted per mode;
-    a literal too large for a double raises a ParseError in Float mode.
-    A Float system carries its exact twin, read from the same tokens."""
-    tokens = _tokenize(text)
-    system, names = _Parser(tokens, mode).parse_system()
-    if mode is Mode.FLOAT:
-        twin, _ = _Parser(tokens, Mode.EXACT).parse_system()
-        system = replace(system, exact=twin)
-    return system, names
+    becomes flattened index (j-1)*k + l. A Float system is the exact parse
+    with each coefficient rounded once, carrying it as its exact twin. One
+    too large for a double raises a ParseError at its literal or equation."""
+    parser = _Parser(_tokenize(text), mode)
+    system, names = parser.parse_system()
+    if mode is Mode.EXACT:
+        return system, names
+    polys = []
+    for name, poly in zip(names, system.polys):
+        try:
+            polys.append(Poly(poly.var_count, {m: mode.from_fraction(c)
+                                               for m, c in poly.terms.items()}))
+        except CarlemanError as exc:
+            raise ParseError(str(exc), parser.spans[name]) from exc
+    return replace(system, polys=tuple(polys), mode=mode, exact=system), names
 
 
 # -- rendering ----------------------------------------------------------------

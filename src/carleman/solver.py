@@ -48,9 +48,9 @@ from .poly import (Monomial, Poly, affine_images, compose_shared, grlex_key,
 from .scalars import (Mode, Scalar, format_scalar, nearly_equal, over_lcm,
                       scalar_from_json, scalar_to_json, sort_key)
 from .systems import (AdmissibilityReport, PolySystem, TransformParams,
-                      apply_affine, check_shift_admissible, fixed_points,
-                      reduce_depth, triangularize_linear,
-                      _zero_subdiagonal_linear)
+                      apply_affine, below_diagonal, check_shift_admissible,
+                      constant_term, drop_float_residue, fixed_points,
+                      reduce_depth, triangularize_linear)
 from .triangular import decompose
 
 _FLOAT_CONSTANT_TOL = 1e-9
@@ -333,29 +333,13 @@ def _convert_vector(values: Sequence[Scalar], mode: Mode) -> List[Scalar]:
     for v in values:
         if mode.matches(v):
             out.append(v)
-        elif isinstance(v, Fraction):
+        elif isinstance(v, (Fraction, int)):
             out.append(mode.from_fraction(v))
-        elif isinstance(v, int):
-            out.append(mode.from_fraction(Fraction(v)))
         elif mode is Mode.FLOAT:
             out.append(complex(v))
         else:
             raise CarlemanError(f"cannot use {v!r} as an exact scalar")
     return out
-
-
-def _clean_float_constants(system: PolySystem, tol: float) -> PolySystem:
-    if system.mode is not Mode.FLOAT:
-        return system
-    k = system.k
-    polys = []
-    for p in system.polys:
-        terms = dict(p.terms)
-        const = terms.get((0,) * k)
-        if const is not None and abs(const) <= tol:
-            del terms[(0,) * k]
-        polys.append(Poly(k, terms))
-    return PolySystem(k=k, depth=1, polys=tuple(polys), mode=system.mode)
 
 
 @dataclass(frozen=True)
@@ -402,7 +386,7 @@ def resolve_shift(system: PolySystem, opts: SolveOptions
     chosen: Optional[List[Scalar]] = None
     for cand in candidates:
         shifted = apply_affine(system, TransformParams.shift(cand, mode))
-        shifted = _clean_float_constants(shifted, _FLOAT_CONSTANT_TOL)
+        shifted = drop_float_residue(shifted, _FLOAT_CONSTANT_TOL, constant_term)
         try:
             report = check_shift_admissible(shifted, max_power=opts.order,
                                             seed=opts.seed)
@@ -440,7 +424,7 @@ def _resolve_basis(shifted: PolySystem, opts: SolveOptions
         transformed = apply_affine(shifted, params)
         if mode is Mode.FLOAT:
             scale = max(max_abs(transformed.linear_matrix()), 1.0)
-            transformed = _zero_subdiagonal_linear(transformed, 1e-10 * scale)
+            transformed = drop_float_residue(transformed, 1e-10 * scale, below_diagonal)
         tol = 0.0 if mode is Mode.EXACT else 1e-12
         if not is_upper_triangular(transformed.linear_matrix(), tol):
             raise TriangularizationError(
@@ -479,7 +463,7 @@ def resolve_transform(system: PolySystem, opts: SolveOptions,
 
     offset, _ = resolve_shift(reduced, opts)
     shifted = apply_affine(reduced, TransformParams.shift(offset, mode))
-    shifted = _clean_float_constants(shifted, _FLOAT_CONSTANT_TOL)
+    shifted = drop_float_residue(shifted, _FLOAT_CONSTANT_TOL, constant_term)
     bad = [p for p, c in enumerate(shifted.constant_vector()) if c != 0]
     if bad and require_shifted:
         if opts.shift == "none":
@@ -947,7 +931,7 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     use_transformed = any(x != 0 for x in solution.offsets)
     if use_transformed:
         target = apply_affine(reduced, solution.transform)
-        target = _clean_float_constants(target, _FLOAT_CONSTANT_TOL)
+        target = drop_float_residue(target, _FLOAT_CONSTANT_TOL, constant_term)
         tables = solution.transformed
         coordinates = "transformed"
     else:

@@ -30,14 +30,14 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .embedding import MonomialBasis
 from .errors import (ArityError, NotShiftedError, SingularMatrixError,
                      TriangularizationError)
 from .linalg import (char_poly, identity, is_upper_triangular, mat_inverse,
                      mat_vec, max_abs, nullspace)
-from .poly import Poly, affine_images, complex_roots, rational_roots
+from .poly import Poly, affine_images, complex_roots, compose_shared, rational_roots
 from .scalars import Mode, Scalar, format_scalar, nearly_equal, sort_key
 
 
@@ -45,9 +45,9 @@ from .scalars import Mode, Scalar, format_scalar, nearly_equal, sort_key
 class PolySystem:
     """k update polynomials over the depth*k flattened lag variables.
 
-    A float system parsed from text carries exact, the same system in
-    exact mode with each literal's own value, for solve to run first;
-    systems derived from it carry none."""
+    A float system parsed from text carries exact, the exact system it
+    rounds coefficient by coefficient, for solve to run first; systems
+    derived from it carry none."""
 
     k: int
     depth: int
@@ -162,22 +162,14 @@ def apply_affine(system: PolySystem, params: TransformParams) -> PolySystem:
         raise ArityError(
             f"transform is {params.k}-dimensional, system has {system.k} variables")
     k = system.k
-    a_rows = [list(r) for r in params.matrix]
-    a_inv = [list(r) for r in params.matrix_inv]
-    offset = list(params.offset)
-    images = affine_images(a_inv, offset)
-    substituted = [p.compose(images) for p in system.polys]
-    shift_back = mat_vec(a_rows, offset)
-    polys = []
-    for p in range(k):
-        acc = Poly.zero(k)
-        for j in range(k):
-            if a_rows[p][j] != 0:
-                acc = acc + substituted[j].scaled(a_rows[p][j])
-        if shift_back[p] != 0:
-            acc = acc - Poly.constant(k, shift_back[p])
-        polys.append(acc)
-    return PolySystem(k=k, depth=1, polys=tuple(polys), mode=system.mode)
+    substituted = compose_shared(system.polys,
+                                 affine_images(params.matrix_inv, params.offset))
+    shift_back = mat_vec(params.matrix, params.offset)
+    # A F(...) - A B, summed left to right: Poly + keeps keys in order of arrival
+    polys = tuple(sum((f.scaled(a) for a, f in zip(row, substituted) if a != 0),
+                      Poly.zero(k)) - Poly.constant(k, b)
+                  for row, b in zip(params.matrix, shift_back))
+    return PolySystem(k=k, depth=1, polys=polys, mode=system.mode)
 
 
 # -- fixed points -------------------------------------------------------------
@@ -482,7 +474,7 @@ def triangularize_linear(system: PolySystem,
     scale = max(max_abs(linear), 1.0)
     if is_upper_triangular(linear, 0.0 if mode is Mode.EXACT else 1e-12):
         if mode is Mode.FLOAT:
-            system = _zero_subdiagonal_linear(system, _SUBDIAGONAL_TOL * scale)
+            system = drop_float_residue(system, _SUBDIAGONAL_TOL * scale, below_diagonal)
         return system, TransformParams.identity(k, mode)
     eigs = _eigenvalues_with_multiplicity(linear, mode, seed=seed)
     columns: List[List[Scalar]] = []
@@ -515,18 +507,26 @@ def triangularize_linear(system: PolySystem,
     if residue > 1e-8 * scale:
         raise TriangularizationError(
             f"float triangularization did not converge (residue {residue:.2e})")
-    return _zero_subdiagonal_linear(transformed, _SUBDIAGONAL_TOL * scale), params
+    return (drop_float_residue(transformed, _SUBDIAGONAL_TOL * scale, below_diagonal),
+            params)
 
 
-def _zero_subdiagonal_linear(system: PolySystem, threshold: float) -> PolySystem:
-    """Drop float residue sitting strictly below the linear diagonal."""
-    k = system.k
-    polys = []
-    for p, poly in enumerate(system.polys):
-        terms = dict(poly.terms)
-        for mono in list(terms.keys()):
-            if sum(mono) == 1 and mono.index(1) < p:
-                if abs(terms[mono]) <= threshold:
-                    del terms[mono]
-        polys.append(Poly(k, terms))
-    return PolySystem(k=k, depth=1, polys=tuple(polys), mode=system.mode)
+# term tests for drop_float_residue: mono is a term of equation p
+def constant_term(p: int, mono: Tuple[int, ...]) -> bool:
+    return not any(mono)
+
+
+def below_diagonal(p: int, mono: Tuple[int, ...]) -> bool:
+    return sum(mono) == 1 and mono.index(1) < p
+
+
+def drop_float_residue(system: PolySystem, tol: float,
+                       test: Callable[[int, Tuple[int, ...]], bool]) -> PolySystem:
+    """The depth-one system without its float terms of magnitude at most
+    tol that pass test(p, mono); an exact system is returned as it is."""
+    if system.mode is Mode.EXACT:
+        return system
+    polys = tuple(Poly(system.k, {m: c for m, c in poly.terms.items()
+                                  if abs(c) > tol or not test(p, m)})
+                  for p, poly in enumerate(system.polys))
+    return PolySystem(k=system.k, depth=1, polys=polys, mode=system.mode)

@@ -79,9 +79,9 @@ from carleman.solver import (ClosedFormSolution, ExpSum, VerificationReport,
                              VerificationRow, _FLOAT_COEFF_DROP,
                              _FLOAT_CONSTANT_TOL, _FLOAT_MERGE_TOL,
                              _ORACLE_TERM_LIMIT, _ScaledState,
-                             _clean_float_constants, _integer_system)
+                             _integer_system)
 from carleman.systems import (PolySystem, TransformParams, apply_affine,
-                              reduce_depth)
+                              constant_term, drop_float_residue, reduce_depth)
 
 SparseMatrix = List[Dict[int, Scalar]]
 
@@ -533,7 +533,7 @@ def fraction_verify(solution: ClosedFormSolution, system: PolySystem,
     use_transformed = any(x != 0 for x in solution.offsets)
     if use_transformed:
         target = apply_affine(reduced, solution.transform)
-        target = _clean_float_constants(target, _FLOAT_CONSTANT_TOL)
+        target = drop_float_residue(target, _FLOAT_CONSTANT_TOL, constant_term)
         tables = solution.transformed
         coordinates = "transformed"
     else:

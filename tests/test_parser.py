@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carleman import NonPolynomialError, ParseError
+from carleman.cli import main
 from carleman.parser import parse_system, pretty_print
 from carleman.scalars import Mode
 from carleman.systems import TransformParams, apply_affine, reduce_depth
@@ -69,6 +70,15 @@ def test_parenthesized_expansion():
     assert system.polys[0].terms == {(0,): F(1), (1,): F(2), (2,): F(1)}
 
 
+def test_zeroth_power_is_one_in_both_modes():
+    text = "vars: u\nu[i] = 2*u[i-1]^0 + (u[i-1] + 1)^0*u[i-1]\n"
+    exact, _ = parse_system(text, Mode.EXACT)
+    assert exact.polys[0].terms == {(0,): F(2), (1,): F(1)}
+    assert all(type(c) is Fraction for c in exact.polys[0].terms.values())
+    system, _ = parse_system(text, Mode.FLOAT)
+    assert system.polys[0].terms == {(0,): 2 + 0j, (1,): 1 + 0j}
+
+
 def test_literal_forms():
     text = "vars: u\nu[i] = 0.5*u[i-1] + 3/4*u[i-1]^2 - 2\n"
     system, _ = parse_system(text, Mode.EXACT)
@@ -82,12 +92,18 @@ def test_float_mode_lowering():
 
 
 def test_float_parse_carries_the_exact_parse():
-    texts = [LOGISTIC, COUPLED, random_dsl_system(random.Random(3)),
+    texts = [LOGISTIC, COUPLED,
              "vars: u\nu[i] = 0.1*u[i-1] + 1/3*u[i-2]^2 - 2/5\n"]
+    texts += [random_dsl_system(random.Random(seed)) for seed in range(200)]
     for text in texts:
         system, names = parse_system(text, Mode.FLOAT)
         exact, exact_names = parse_system(text, Mode.EXACT)
         assert system.exact == exact and names == exact_names
+        # each float coefficient is the twin's, rounded once, under the
+        # same key in the same place
+        assert [[(m, Mode.FLOAT.from_fraction(c)) for m, c in p.terms.items()]
+                for p in exact.polys] == [list(p.terms.items())
+                                          for p in system.polys]
         assert system.exact.mode is Mode.EXACT and exact.exact is None
         # the twin keeps each literal's own value, not its double's
         assert all(c.denominator < 2 ** 20 for p in system.exact.polys
@@ -103,9 +119,9 @@ def test_float_parse_carries_the_exact_parse():
 
 
 def test_float_lowering_golden():
-    # each Poly operation runs in the order the text gives it, so every
-    # float repr is fixed; commuting a product, expanding ^3 as repeated
-    # products or adding a negated term instead of subtracting changes some
+    # each coefficient is its exact value rounded once to the nearest
+    # double, so the reprs below do not depend on the order in which the
+    # text multiplies, expands or adds its terms
     text = ("vars: u, v\n"
             "u[i] = (0.1*u[i-1] + 1/3*v[i-2] + 0.25)^3"
             " - 0.7*(0.3*v[i-1] + 1/3)*(0.6*u[i-2] - 0.1)\n"
@@ -115,38 +131,38 @@ def test_float_lowering_golden():
     assert [[(mono, repr(c)) for mono, c in p.terms.items()]
             for p in system.polys] == [
         [((0, 0, 0, 0), "(0.03895833333333333+0j)"),
-         ((1, 0, 0, 0), "(0.018750000000000003+0j)"),
+         ((1, 0, 0, 0), "(0.01875+0j)"),
          ((0, 0, 0, 1), "(0.0625+0j)"),
-         ((2, 0, 0, 0), "(0.0075000000000000015+0j)"),
+         ((2, 0, 0, 0), "(0.0075+0j)"),
          ((1, 0, 0, 1), "(0.05+0j)"),
          ((0, 0, 0, 2), "(0.08333333333333333+0j)"),
-         ((3, 0, 0, 0), "(0.0010000000000000002+0j)"),
-         ((2, 0, 0, 1), "(0.010000000000000002+0j)"),
+         ((3, 0, 0, 0), "(0.001+0j)"),
+         ((2, 0, 0, 1), "(0.01+0j)"),
          ((1, 0, 0, 2), "(0.03333333333333333+0j)"),
          ((0, 0, 0, 3), "(0.037037037037037035+0j)"),
-         ((0, 0, 1, 0), "(-0.13999999999999999+0j)"),
+         ((0, 0, 1, 0), "(-0.14+0j)"),
          ((0, 1, 0, 0), "(0.021+0j)"),
          ((0, 1, 1, 0), "(-0.126+0j)")],
         [((0, 0, 0, 0), "(-2.4953125+0j)"),
          ((0, 0, 1, 0), "(0.01875+0j)"),
-         ((0, 1, 0, 0), "(-0.005625000000000001+0j)"),
-         ((0, 0, 2, 0), "(0.024999999999999998+0j)"),
+         ((0, 1, 0, 0), "(-0.005625+0j)"),
+         ((0, 0, 2, 0), "(0.025+0j)"),
          ((0, 1, 1, 0), "(-0.015+0j)"),
-         ((0, 2, 0, 0), "(0.0022500000000000003+0j)"),
-         ((0, 0, 3, 0), "(0.01111111111111111+0j)"),
+         ((0, 2, 0, 0), "(0.00225+0j)"),
+         ((0, 0, 3, 0), "(0.011111111111111112+0j)"),
          ((0, 1, 2, 0), "(-0.01+0j)"),
-         ((0, 2, 1, 0), "(0.0030000000000000005+0j)"),
-         ((0, 3, 0, 0), "(-0.0003000000000000001+0j)"),
+         ((0, 2, 1, 0), "(0.003+0j)"),
+         ((0, 3, 0, 0), "(-0.0003+0j)"),
          ((1, 0, 0, 0), "(0.0109375+0j)"),
          ((1, 0, 1, 0), "(0.04375+0j)"),
-         ((1, 1, 0, 0), "(-0.013125000000000001+0j)"),
-         ((1, 0, 2, 0), "(0.05833333333333333+0j)"),
-         ((1, 1, 1, 0), "(-0.034999999999999996+0j)"),
+         ((1, 1, 0, 0), "(-0.013125+0j)"),
+         ((1, 0, 2, 0), "(0.058333333333333334+0j)"),
+         ((1, 1, 1, 0), "(-0.035+0j)"),
          ((1, 2, 0, 0), "(0.00525+0j)"),
-         ((1, 0, 3, 0), "(0.02592592592592592+0j)"),
-         ((1, 1, 2, 0), "(-0.02333333333333333+0j)"),
-         ((1, 2, 1, 0), "(0.007000000000000001+0j)"),
-         ((1, 3, 0, 0), "(-0.0007000000000000001+0j)")]]
+         ((1, 0, 3, 0), "(0.025925925925925925+0j)"),
+         ((1, 1, 2, 0), "(-0.023333333333333334+0j)"),
+         ((1, 2, 1, 0), "(0.007+0j)"),
+         ((1, 3, 0, 0), "(-0.0007+0j)")]]
 
 
 def test_leading_signed_literal():
@@ -266,6 +282,23 @@ def test_float_literal_too_large_for_a_double():
     assert (span.line, span.column) == (2, 19)
     system, _ = parse_system(text, Mode.EXACT)
     assert system.polys[0].constant_term() == int(literal)
+
+
+def test_float_coefficient_overflowing_after_arithmetic(tmp_path, capsys):
+    # each literal fits a double, their product does not
+    text = "vars: u\nu[i] = 10^200*10^200*u[i-1] + 1/2*u[i-1]^2\n"
+    with pytest.raises(ParseError) as err:
+        parse_system(text, Mode.FLOAT)
+    assert str(err.value) == ("line 2, column 1: coefficient of about 1e400 "
+                              "overflows double precision")
+    span = span_of(err)
+    assert text[span.start:span.end] == "u"
+    system, _ = parse_system(text, Mode.EXACT)
+    assert system.polys[0].terms[(1,)] == 10 ** 400
+    path = tmp_path / "overflow.rec"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", str(path), "--mode", "float"]) == 1
+    assert capsys.readouterr().err == f"parse error: {err.value}\n"
 
 
 def test_spans_carry_offsets():
