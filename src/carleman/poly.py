@@ -242,18 +242,16 @@ def within_cutoff(terms: Iterable[Tuple[Monomial, Scalar]],
             if sum(map(operator.mul, mono, lowest)) <= max_degree]
 
 
-def product_table(factors: Sequence[Poly], max_degree: Optional[int] = None,
-                  one: Scalar = 1) -> Callable[[Monomial], Poly]:
-    """The map m -> one * prod_s factors[s]**m[s], degrees above
-    max_degree dropped. Each product is formed once, by one mul_truncated
-    of its prefix m - e_s (s the last nonzero slot) by factors[s], and
-    kept while the map lives; asked in graded order, every prefix is
-    already there."""
-    k = factors[0].var_count
-    products: Dict[Monomial, Poly] = {
-        (0,) * len(factors): Poly._trusted(k, {(0,) * k: one})}
+def prefix_products(slots: int, unit, multiply: Callable) -> Callable:
+    """The map m -> the product over slots s of factor s to the power
+    m[s], for monomials m with the given number of slots. Each product
+    is formed once, as multiply(product of the prefix m - e_s, s) with s
+    the last nonzero slot of m, and kept while the map lives; the empty
+    product is unit. Asked in graded order, every prefix is already
+    there."""
+    products = {(0,) * slots: unit}
 
-    def product(mono: Monomial) -> Poly:
+    def product(mono: Monomial):
         missing = []
         while mono not in products:
             s = max(t for t, e in enumerate(mono) if e)
@@ -261,10 +259,21 @@ def product_table(factors: Sequence[Poly], max_degree: Optional[int] = None,
             mono = mono[:s] + (mono[s] - 1,) + mono[s + 1:]
         value = products[mono]
         for mono, s in reversed(missing):
-            value = products[mono] = value.mul_truncated(factors[s], max_degree)
+            value = products[mono] = multiply(value, s)
         return value
 
     return product
+
+
+def product_table(factors: Sequence[Poly], max_degree: Optional[int] = None,
+                  one: Scalar = 1) -> Callable[[Monomial], Poly]:
+    """The map m -> one * prod_s factors[s]**m[s], degrees above
+    max_degree dropped, by prefix_products: one mul_truncated per
+    distinct monomial."""
+    k = factors[0].var_count
+    return prefix_products(
+        len(factors), Poly._trusted(k, {(0,) * k: one}),
+        lambda value, s: value.mul_truncated(factors[s], max_degree))
 
 
 def compose_shared(polys: Sequence[Poly], arguments: Sequence[Poly],

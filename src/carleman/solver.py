@@ -21,30 +21,36 @@ a brute-force symbolic iteration oracle. Verification happens in the
 shifted coordinates when the shift is nonzero (there the coefficients
 are exact); with a zero shift the original-coordinate table is checked
 directly. In exact mode both sides stay in integers through the comparison:
-the oracle holds integer polynomials over one shared denominator, reduced
-by their common gcd after every step, and the closed form is evaluated
-from one running power per distinct eigenvalue over a common
-denominator. A coefficient on which they agree becomes one Fraction.
+the oracle holds one integer list per variable, indexed by position in
+the grlex basis of monomials up to the order, over one shared
+denominator reduced by the common gcd after every step; the closed form
+is evaluated from one running power per distinct eigenvalue over a
+common denominator. A coefficient on which they agree becomes one
+Fraction.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
-from .embedding import MonomialBasis, build_transition
+from .embedding import (BASIS_SIZE_LIMIT, MonomialBasis, basis_size,
+                        build_transition)
 from .errors import (ArityError, CarlemanError, NotShiftedError,
                      RepeatedEigenvalueError, ShiftNotFoundError,
                      SizeLimitError, TriangularizationError)
 from .linalg import is_upper_triangular, mat_vec, max_abs
 from .poly import (Monomial, Poly, affine_images, compose_shared, grlex_key,
-                   integer_scaled, product_table)
+                   integer_scaled, prefix_products, product_table)
 from .scalars import (Mode, Scalar, format_scalar, nearly_equal, over_lcm,
                       scalar_from_json, scalar_to_json, sort_key)
 from .systems import (AdmissibilityReport, PolySystem, TransformParams,
@@ -546,15 +552,21 @@ def _exact_options(opts: SolveOptions) -> Optional[SolveOptions]:
 
 
 def _rounded(solution: ClosedFormSolution) -> ClosedFormSolution:
-    """An exact solution in float mode, every scalar rounded once."""
+    """An exact solution in float mode, every scalar rounded once. A cell
+    keeps every term of its exact sum, sorted by the float key: the float
+    coefficient drop of ExpSum.from_terms, which ignores the base, would
+    remove terms that matter. Only a coefficient that rounds to 0 goes."""
     mode = Mode.FLOAT
 
     def vector(values):
         return tuple(map(mode.from_fraction, values))
 
+    def rounded_sum(exact_sum):
+        terms = (bc for bc in map(vector, exact_sum.terms) if bc[1])
+        return ExpSum(mode, tuple(sorted(terms, key=lambda bc: sort_key(bc[0]))))
+
     def table(cells):
-        sums = ((m, ExpSum.from_terms(mode, [vector(bc) for bc in s.terms]))
-                for m, s in cells.items())
+        sums = ((m, rounded_sum(s)) for m, s in cells.items())
         return {m: s for m, s in sums if not s.is_zero()}
     transform = solution.transform
     return dataclasses.replace(
@@ -712,77 +724,149 @@ def _exp_sum_tables(mode: Mode, eigs: Sequence[Scalar],
 _ORACLE_TERM_LIMIT = 10 ** 6
 
 
+class _IntegerSystem:
+    """An exact system scaled to integers once, with the basis of
+    monomials of degree <= order that indexes the exact oracle state.
+
+    polys[p] holds the (monomial, coefficient, degree) terms of the
+    integer polynomial scale * f_p, scale the lcm of all coefficient
+    denominators; degree is the system's degree. A basis monomial's key
+    packs its exponents in base order + 1, so the key of a product of
+    degree <= order is the sum of its factors' keys: position maps it to
+    the product's place in the basis."""
+
+    __slots__ = ("monomials", "keys", "position", "degrees", "order",
+                 "polys", "scale", "degree")
+
+    def __init__(self, system: PolySystem, order: int):
+        self.monomials = MonomialBasis(system.k, order).monomials
+        self.keys = [functools.reduce(lambda key, e: key * (order + 1) + e,
+                                      mono, 0) for mono in self.monomials]
+        self.position = {key: a for a, key in enumerate(self.keys)}
+        self.degrees = [sum(mono) for mono in self.monomials]
+        self.order = order
+        scaled, self.scale = integer_scaled(system.polys)
+        self.polys = [[(m, c, sum(m)) for m, c in p.terms.items()]
+                      for p in scaled]
+        self.degree = max(0, max(p.degree() for p in system.polys))
+
+
 @dataclass(frozen=True)
 class _ScaledState:
-    """Exact oracle state in integers: variable l is numerators[l] divided
-    by denominator. The denominator is positive, and no factor above 1
-    divides it and every numerator coefficient."""
+    """Exact oracle state in integers: variable l is the polynomial with
+    coefficient numerators[l][a] / denominator on basis monomial a of
+    system. The denominator is positive, and no factor above 1 divides it
+    and every numerator."""
 
-    numerators: List[Poly]
+    numerators: List[List[int]]
     denominator: int
+    system: _IntegerSystem
 
     @classmethod
-    def reduced(cls, numerators: List[Poly], denominator: int) -> "_ScaledState":
+    def reduced(cls, numerators: List[List[int]], denominator: int,
+                system: _IntegerSystem) -> "_ScaledState":
         if denominator == 1:
-            return cls(numerators, 1)
-        common = math.gcd(denominator, *(c for p in numerators
-                                         for c in p.terms.values()))
+            return cls(numerators, 1, system)
+        common = math.gcd(denominator, *itertools.chain.from_iterable(numerators))
         if common > 1:
-            numerators = [Poly._trusted(
-                p.var_count, {m: c // common for m, c in p.terms.items()})
-                for p in numerators]
+            numerators = [[x // common for x in column] for column in numerators]
             denominator //= common
-        return cls(numerators, denominator)
+        return cls(numerators, denominator, system)
 
 
 _OracleState = Union[List[Poly], _ScaledState]
 
 
-def _oracle_start(system: PolySystem) -> _OracleState:
-    """The identity map: exact mode as integer polynomials over 1."""
-    if system.mode is Mode.EXACT:
-        units = [tuple(int(t == l) for t in range(system.k))
-                 for l in range(system.k)]
-        return _ScaledState([Poly(system.k, {u: 1}) for u in units], 1)
+def _oracle_start(system: PolySystem, max_degree: Optional[int]
+                  ) -> _OracleState:
+    """The identity map. In exact mode with a cutoff of 1 or more whose
+    basis holds at most BASIS_SIZE_LIMIT monomials, integer lists over 1;
+    otherwise polynomials."""
+    if (system.mode is Mode.EXACT and (max_degree or 0) >= 1
+            and basis_size(system.k, max_degree) <= BASIS_SIZE_LIMIT):
+        integer = _IntegerSystem(system, max_degree)
+        # basis positions 1..k are the variables
+        return _ScaledState([[int(a == l + 1) for a in range(len(integer.keys))]
+                             for l in range(system.k)], 1, integer)
     one = system.mode.one
     return [Poly.variable(system.k, l).scaled(one) for l in range(system.k)]
 
 
-def _integer_system(system: PolySystem, denominator: int
-                    ) -> Tuple[List[Poly], int]:
-    """Integer polynomials F and the integer E with f(N / D) = F(N) / E for
-    every update polynomial f, D the given denominator: with d the lcm of
-    the coefficient denominators and g the system's degree, a coefficient
-    a_m becomes a_m * d * D^(g - |m|) and E = d * D^g."""
-    scaled, scale = integer_scaled(system.polys)
-    degree = max(0, max(p.degree() for p in system.polys))
-    den_powers = [denominator ** e for e in range(degree + 1)]
-    polys = [Poly._trusted(system.k, {m: c * den_powers[degree - sum(m)]
-                                      for m, c in p.terms.items()})
-             for p in scaled]
-    return polys, scale * den_powers[degree]
+def _truncated_product(left: List[Tuple[int, int]],
+                       right: Tuple[List[Tuple[int, int]], List[int]],
+                       system: _IntegerSystem) -> List[Tuple[int, int]]:
+    """The nonzero (position, value) entries of left * right, degrees
+    above the order dropped. left holds (position, value) entries; right
+    is (entries, cuts), the other factor's nonzero (key, value) entries
+    in basis order and cuts[r] the count of them of degree <= r. A left
+    entry of degree d meets the first cuts[order - d], and each pair's
+    position is read from its key sum."""
+    keys, position, degrees = system.keys, system.position, system.degrees
+    order = system.order
+    entries, cuts = right
+    out = [0] * len(keys)
+    for a, x in left:
+        ka = keys[a]
+        for kb, y in itertools.islice(entries, cuts[order - degrees[a]]):
+            out[position[ka + kb]] += x * y
+    return [(a, x) for a, x in enumerate(out) if x]
+
+
+def _scaled_step(state: _ScaledState) -> _ScaledState:
+    """One exact oracle step on basis-indexed integer lists. With D the
+    state denominator and g the system's degree, numerator p is the sum,
+    over the terms c * m of the integer polynomial scale * f_p, of
+    c * D^(g - |m|) times the truncated product of the numerators for m;
+    the new denominator is scale * D^g."""
+    system = state.system
+    factors, lowest = [], []
+    for column in state.numerators:
+        nonzero = [a for a, x in enumerate(column) if x]
+        # grlex order: degrees ascend along the basis
+        degrees = [system.degrees[a] for a in nonzero]
+        factors.append(([(system.keys[a], column[a]) for a in nonzero],
+                        [bisect.bisect_right(degrees, r)
+                         for r in range(system.order + 1)]))
+        lowest.append(degrees[0] if degrees else system.order + 1)
+    product = prefix_products(
+        len(factors), [(0, 1)],
+        lambda left, s: _truncated_product(left, factors[s], system))
+    den_powers = [state.denominator ** e for e in range(system.degree + 1)]
+    numerators = []
+    for terms in system.polys:
+        column = [0] * len(system.keys)
+        for mono, c, degree in terms:
+            # a product that starts above the cutoff adds nothing
+            if sum(map(operator.mul, mono, lowest)) > system.order:
+                continue
+            c *= den_powers[system.degree - degree]
+            for a, x in product(mono):
+                column[a] += c * x
+        numerators.append(column)
+    return _ScaledState.reduced(
+        numerators, system.scale * den_powers[system.degree], system)
 
 
 def _oracle_step(system: PolySystem, state: _OracleState,
                  max_degree: Optional[int]) -> _OracleState:
     """Compose the update map with the state, dropping degrees above
     max_degree, each distinct monomial's truncated state product formed
-    once per step for all k equations (poly.compose_shared). Exact states
-    stay integer: the integer update polynomials act on the numerators,
-    and the result is reduced by the gcd of the new denominator and all
-    numerator coefficients."""
+    once per step for all k equations. An exact state, which carries the
+    integer system and basis _oracle_start made from system and
+    max_degree, steps by _scaled_step and is reduced by the gcd of the
+    new denominator and all numerators. Polynomial states step by
+    poly.compose_shared."""
     if isinstance(state, _ScaledState):
-        polys, denominator = _integer_system(system, state.denominator)
-        new_state = compose_shared(polys, state.numerators, max_degree)
+        new_state = _scaled_step(state)
+        total_terms = sum(len(column) - column.count(0)
+                          for column in new_state.numerators)
     else:
         new_state = compose_shared(system.polys, state, max_degree)
-    total_terms = sum(len(p.terms) for p in new_state)
+        total_terms = sum(len(p.terms) for p in new_state)
     if total_terms > _ORACLE_TERM_LIMIT:
         raise SizeLimitError(
             f"symbolic iteration exceeded {_ORACLE_TERM_LIMIT} terms; "
             f"lower the step count or the degree cutoff")
-    if isinstance(state, _ScaledState):
-        return _ScaledState.reduced(new_state, denominator)
     return new_state
 
 
@@ -792,18 +876,20 @@ def oracle_iterate_symbolic(system: PolySystem, i: int,
     values. With a zero constant term and a degree cutoff N, the retained
     coefficients are exact (degree grading); without a cutoff the
     expansion is exact but can explode, so a term-count guard applies.
-    Exact mode iterates in integers and returns Fraction coefficients.
+    Exact mode with a cutoff iterates in integers; exact coefficients are
+    Fractions.
     """
     system.require_depth_one("symbolic iteration")
     if i < 0:
         raise ValueError(f"iteration count must be non-negative, got {i}")
-    state = _oracle_start(system)
+    state = _oracle_start(system, max_degree)
     for _ in range(i):
         state = _oracle_step(system, state, max_degree)
     if isinstance(state, _ScaledState):
         return [Poly(system.k, {m: Fraction(c, state.denominator)
-                                for m, c in p.terms.items()})
-                for p in state.numerators]
+                                for m, c in zip(state.system.monomials, column)
+                                if c})
+                for column in state.numerators]
     return state
 
 
@@ -826,9 +912,9 @@ def _exact_table_values(tables: Sequence[Dict[Monomial, ExpSum]], steps: int
         for mono, exp_sum in table.items():
             numerators, lcd = over_lcm([c.as_integer_ratio()
                                         for _, c in exp_sum.terms])
-            row[mono] = (lcd, [
-                (keys.setdefault(b.as_integer_ratio(), len(keys)), r)
-                for (b, _), r in zip(exp_sum.terms, numerators)])
+            row[mono] = (lcd, numerators, [
+                keys.setdefault(b.as_integer_ratio(), len(keys))
+                for b, _ in exp_sum.terms])
         cells.append(row)
     multipliers, common = over_lcm(list(keys))
     powers = [1] * len(multipliers)
@@ -837,8 +923,10 @@ def _exact_table_values(tables: Sequence[Dict[Monomial, ExpSum]], steps: int
         if i:
             powers = [x * m for x, m in zip(powers, multipliers)]
             common_power *= common
-        yield [{mono: (sum(r * powers[j] for j, r in terms), lcd * common_power)
-                for mono, (lcd, terms) in row.items()} for row in cells]
+        power = powers.__getitem__
+        yield [{mono: (sum(map(operator.mul, rs, map(power, js))),
+                       lcd * common_power)
+                for mono, (lcd, rs, js) in row.items()} for row in cells]
 
 
 @dataclass(frozen=True)
@@ -917,7 +1005,10 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     the closed form's S / (lcd * Q^i) (_exact_table_values); an agreeing
     cell makes one Fraction. Float mode allows relative error up to tol.
     Each oracle step forms every distinct monomial's truncated product
-    once for all k equations (_oracle_step); grlex_key sorts each table once.
+    once for all k equations (_oracle_step): exact states are integer
+    lists indexed by basis position, the system scaled to integers once
+    per verify; float states are polynomials. grlex_key sorts each table
+    once.
     """
     steps = solution.order if max_power is None else max_power
     if steps < 0:
@@ -945,14 +1036,20 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     table_orders = [sorted(table, key=grlex_key) for table in tables]
 
     rows: List[VerificationRow] = []
-    state = _oracle_start(target)
+    state = _oracle_start(target, order)
     worst = 0.0
     for i in range(steps + 1):
+        if isinstance(state, _ScaledState):
+            monomials, den = state.system.monomials, state.denominator
+            oracle = [dict(zip(itertools.compress(monomials, column),
+                               filter(None, column)))
+                      for column in state.numerators]
+        else:
+            # float, or an exact order whose basis is past BASIS_SIZE_LIMIT
+            oracle, den = [p.terms for p in state], 1
         if exact:
-            oracle, den = [p.terms for p in state.numerators], state.denominator
             values = next(exact_values)
         else:
-            oracle = [p.terms for p in state]
             values = [{m: s.evaluate(i) for m, s in table.items()}
                       for table in tables]
         for p in range(target.k):

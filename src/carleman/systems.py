@@ -365,14 +365,17 @@ def check_shift_admissible(system: PolySystem, max_power: int,
             "fixed point first")
     eigs = _eigenvalues_with_multiplicity(system.linear_matrix(), system.mode,
                                           seed=seed)
-    basis = MonomialBasis(system.k, max_power)
-    products: List[Tuple[Tuple[int, ...], Scalar]] = []
-    for mono in basis.monomials:
-        value = system.mode.one
-        for l, e in enumerate(mono):
-            if e:
-                value = value * eigs[l] ** e
-        products.append((mono, value))
+    # one * prod_l eigs[l]**e_l, multiplied in slot order, is the product
+    # of its head (the last nonzero slot s set to 0, formed earlier in
+    # graded order) times eigs[s]**e_s: one multiply per monomial
+    powers = [[eig ** e for e in range(max_power + 1)] for eig in eigs]
+    monomials = MonomialBasis(system.k, max_power).monomials
+    values: Dict[Tuple[int, ...], Scalar] = {monomials[0]: system.mode.one}
+    for mono in monomials[1:]:
+        s = max(t for t, e in enumerate(mono) if e)
+        head = mono[:s] + (0,) * (system.k - s)
+        values[mono] = values[head] * powers[s][mono[s]]
+    products = list(values.items())
     collisions: List[Tuple[Tuple[int, ...], Tuple[int, ...], Scalar]] = []
     if system.mode is Mode.EXACT:
         seen: Dict[Scalar, Tuple[int, ...]] = {}

@@ -21,10 +21,13 @@ power_products() in slot order with each power computed once, and the
 pieces added one Poly at a time. No oracle here forms a product through
 product_table: the expansions, the oracle steps and fold_pullback() run
 through power_compose, and fraction_build_transition() multiplies
-cached powers of its own. compose_scaled_step() is the exact oracle
-step before the shared products, one power_compose per equation on the
-integer state, and the oracle for poly.compose_shared in
-solver._oracle_step.
+cached powers of its own. PolyScaledState is the exact oracle state
+before basis-indexed lists: integer polynomials over one denominator.
+shared_scaled_step() is the exact oracle step on it, the system scaled
+by integer_system() anew at every step and the shared products formed
+by poly.compose_shared on tuple-keyed dicts: the reference for the list
+step of solver._oracle_step. compose_scaled_step() is the step before
+the shared products, one power_compose per equation.
 pairwise_mul_truncated() is Poly.mul_truncated before it sorted
 (degree, monomial, coefficient) triples once; the two must give the same
 terms in the same order, float bits included.
@@ -64,6 +67,7 @@ is the oracle for the stored-solution reader, results and errors alike.
 
 import heapq
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -71,15 +75,14 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 from carleman.embedding import CarlemanMatrix, MonomialBasis
 from carleman.linalg import Matrix, identity, mat_mul, mat_vec
 from carleman.errors import ArityError, CarlemanError, SizeLimitError
-from carleman.poly import (Monomial, Poly, affine_images, grlex_key,
-                           within_cutoff)
+from carleman.poly import (Monomial, Poly, affine_images, compose_shared,
+                           grlex_key, integer_scaled, within_cutoff)
 from carleman.scalars import (Mode, Scalar, nearly_equal, over_lcm,
                               scalar_from_json)
 from carleman.solver import (ClosedFormSolution, ExpSum, VerificationReport,
                              VerificationRow, _FLOAT_COEFF_DROP,
                              _FLOAT_CONSTANT_TOL, _FLOAT_MERGE_TOL,
-                             _ORACLE_TERM_LIMIT, _ScaledState,
-                             _integer_system)
+                             _ORACLE_TERM_LIMIT)
 from carleman.systems import (PolySystem, TransformParams, apply_affine,
                               constant_term, drop_float_residue, reduce_depth)
 
@@ -474,20 +477,88 @@ def _oracle_step(system: PolySystem, state: List[Poly],
     return new_state
 
 
-def compose_scaled_step(system: PolySystem, state: _ScaledState,
-                        max_degree: Optional[int]) -> _ScaledState:
-    """The exact branch of solver._oracle_step before the shared
-    products: each integer update polynomial composed with the state by
-    its own power_compose, so each builds its own powers of the state."""
-    polys, denominator = _integer_system(system, state.denominator)
-    arguments = state.numerators
-    new_state = [power_compose(p, arguments, max_degree) for p in polys]
+@dataclass(frozen=True)
+class PolyScaledState:
+    """The exact oracle state before basis-indexed lists: variable l is
+    the integer polynomial numerators[l] divided by denominator, reduced
+    like solver._ScaledState."""
+
+    numerators: List[Poly]
+    denominator: int
+
+    @classmethod
+    def reduced(cls, numerators: List[Poly], denominator: int
+                ) -> "PolyScaledState":
+        if denominator == 1:
+            return cls(numerators, 1)
+        common = math.gcd(denominator, *(c for p in numerators
+                                         for c in p.terms.values()))
+        if common > 1:
+            numerators = [Poly._trusted(
+                p.var_count, {m: c // common for m, c in p.terms.items()})
+                for p in numerators]
+            denominator //= common
+        return cls(numerators, denominator)
+
+    @classmethod
+    def start(cls, system: PolySystem) -> "PolyScaledState":
+        """The identity map as integer polynomials over 1."""
+        units = [tuple(int(t == l) for t in range(system.k))
+                 for l in range(system.k)]
+        return cls([Poly(system.k, {u: 1}) for u in units], 1)
+
+    def fractions(self) -> List[Poly]:
+        """The state as Fraction polynomials."""
+        return [Poly(p.var_count, {m: Fraction(c, self.denominator)
+                                   for m, c in p.terms.items()})
+                for p in self.numerators]
+
+
+def integer_system(system: PolySystem, denominator: int
+                   ) -> Tuple[List[Poly], int]:
+    """Integer polynomials F and the integer E with f(N / D) = F(N) / E for
+    every update polynomial f, D the given denominator: with d the lcm of
+    the coefficient denominators and g the system's degree, a coefficient
+    a_m becomes a_m * d * D^(g - |m|) and E = d * D^g. It is formed anew
+    at every step."""
+    scaled, scale = integer_scaled(system.polys)
+    degree = max(0, max(p.degree() for p in system.polys))
+    den_powers = [denominator ** e for e in range(degree + 1)]
+    polys = [Poly._trusted(system.k, {m: c * den_powers[degree - sum(m)]
+                                      for m, c in p.terms.items()})
+             for p in scaled]
+    return polys, scale * den_powers[degree]
+
+
+def _scaled_step(system: PolySystem, state: PolyScaledState,
+                 max_degree: Optional[int], compose) -> PolyScaledState:
+    polys, denominator = integer_system(system, state.denominator)
+    new_state = compose(polys, state.numerators, max_degree)
     total_terms = sum(len(p.terms) for p in new_state)
     if total_terms > _ORACLE_TERM_LIMIT:
         raise SizeLimitError(
             f"symbolic iteration exceeded {_ORACLE_TERM_LIMIT} terms; "
             f"lower the step count or the degree cutoff")
-    return _ScaledState.reduced(new_state, denominator)
+    return PolyScaledState.reduced(new_state, denominator)
+
+
+def shared_scaled_step(system: PolySystem, state: PolyScaledState,
+                       max_degree: Optional[int]) -> PolyScaledState:
+    """The exact branch of solver._oracle_step before basis-indexed
+    lists: the integer update polynomials, formed anew each step, act on
+    integer polynomial numerators through poly.compose_shared, so each
+    distinct monomial's product is one Poly.mul_truncated on tuple-keyed
+    dicts."""
+    return _scaled_step(system, state, max_degree, compose_shared)
+
+
+def compose_scaled_step(system: PolySystem, state: PolyScaledState,
+                        max_degree: Optional[int]) -> PolyScaledState:
+    """shared_scaled_step before the shared products: each integer update
+    polynomial composed with the state by its own power_compose, so each
+    builds its own powers of the state."""
+    return _scaled_step(system, state, max_degree, lambda polys, args, cut: [
+        power_compose(p, args, cut) for p in polys])
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:

@@ -1,27 +1,37 @@
-"""The exact oracle step against the per-equation compose it replaced.
+"""The exact oracle step against the dict-based steps it replaced.
 
-solver._oracle_step forms each distinct monomial's truncated product of
-the integer state once per step and shares it across the k equations
-(poly.compose_shared). oracles.compose_scaled_step is the old step: one
-oracles.power_compose per equation. Every step must give equal numerators
-and the same denominator, with and without a degree cutoff.
+solver._oracle_step keeps an exact state as one integer list per
+variable, indexed by basis position, and forms each distinct monomial's
+truncated product of the state once per step, shared across the k
+equations (solver._truncated_product). oracles.shared_scaled_step is the
+step before the lists: the same shared products on tuple-keyed integer
+polynomials (poly.compose_shared). oracles.compose_scaled_step is the
+step before that: one oracles.power_compose per equation. Every step
+must give equal numerators and the same denominator. Without a degree
+cutoff the state is Fraction polynomials, equal to the reference's.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import carleman.solver
 import oracles
-from carleman import SolveOptions, parse_system
+from carleman import SolveOptions, oracle_iterate_symbolic, parse_system
+from carleman.embedding import basis_size
 from carleman.poly import Poly
 from carleman.scalars import Mode
-from carleman.solver import _integer_system, _oracle_start, _oracle_step, \
-    resolve_transform
+from carleman.solver import _oracle_start, _oracle_step, resolve_transform
+from carleman.systems import PolySystem, reduce_depth
 
-from oracles import compose_scaled_step
+from oracles import PolyScaledState, compose_scaled_step, shared_scaled_step
 from test_integer_core_oracle import (COUPLED_A, ORDERS, named_cases,
                                       random_cases, random_order)
 from test_pullback_oracle import COUPLED, DEPTH_TWO
+from test_verify_oracle import TRI3
 
 
 def cases():
@@ -37,14 +47,31 @@ def stepped_systems(system, order, options):
     return reduced, transformed
 
 
+def as_polys(state):
+    """The numerators of a list state as integer polynomials."""
+    monomials = state.system.monomials
+    return [Poly._trusted(len(monomials[0]), {
+        m: c for m, c in zip(monomials, column) if c})
+        for column in state.numerators]
+
+
+def assert_same_state(state, want):
+    if isinstance(state, list):  # no degree cutoff
+        assert state == want.fractions()
+    else:
+        assert state.denominator == want.denominator
+        assert as_polys(state) == want.numerators
+
+
 def check_steps(system, steps, max_degree):
-    state = want = _oracle_start(system)
+    state = _oracle_start(system, max_degree)
+    want = PolyScaledState.start(system)
+    assert_same_state(state, want)
     for _ in range(steps):
         state = _oracle_step(system, state, max_degree)
-        want = compose_scaled_step(system, want, max_degree)
-        assert state.denominator == want.denominator
-        assert state.numerators == want.numerators
-    return state
+        want = shared_scaled_step(system, want, max_degree)
+        assert_same_state(state, want)
+    return want
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -65,6 +92,51 @@ def test_random_systems_step_like_compose_per_equation():
             fractional += check_steps(stepped, order, order).denominator > 1
             check_steps(stepped, 2, None)
     assert fractional > 0
+
+
+# the dict reference is slow on wide dense states: a drawn order is
+# lowered until the basis holds at most this many monomials
+REFERENCE_BASIS_CAP = 500
+
+
+@st.composite
+def exact_systems(draw):
+    """(flattened exact system, order, step count): k from 1 to 3 and
+    depth from 1 to 2; terms of degree 0 to 3 with coefficients n/d,
+    d from 2 to 9; order from 1 to 8; steps from 0 to order + 2."""
+    k, depth = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    width = k * depth
+    monomials = st.lists(st.integers(0, width - 1), max_size=3).map(
+        lambda slots: tuple(map(slots.count, range(width))))
+    coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                             st.integers(2, 9))
+    polys = tuple(Poly(width, draw(st.dictionaries(
+        monomials, coefficients, min_size=1, max_size=4)))
+        for _ in range(k))
+    system = reduce_depth(PolySystem(k=k, depth=depth, polys=polys,
+                                     mode=Mode.EXACT))
+    order = draw(st.integers(1, 8))
+    while basis_size(system.k, order) > REFERENCE_BASIS_CAP:
+        order -= 1
+    return system, order, draw(st.integers(0, order + 2))
+
+
+@settings(max_examples=60)
+@given(exact_systems())
+def test_list_oracle_equals_dict_step_on_random_systems(case):
+    system, order, steps = case
+    want = check_steps(system, steps, order)
+    assert oracle_iterate_symbolic(system, steps, order) == want.fractions()
+
+
+@pytest.mark.parametrize("max_degree", [0, 120])
+def test_cutoffs_without_a_basis_step_as_polynomials(max_degree):
+    # a cutoff below 1 or past BASIS_SIZE_LIMIT monomials (k = 3 at 120)
+    # has no list basis: the state stays Fraction polynomials
+    system = parse_system(TRI3, Mode.EXACT)[0]
+    assert isinstance(_oracle_start(system, max_degree), list)
+    want = check_steps(system, 3, max_degree)
+    assert oracle_iterate_symbolic(system, 3, max_degree) == want.fractions()
 
 
 def prefixes(mono):
@@ -91,11 +163,13 @@ def test_one_product_per_distinct_monomial_prefix(monkeypatch):
     order = 6
     _, target, _ = resolve_transform(
         system, SolveOptions(order=order, matrix=COUPLED_A))
-    state = _oracle_start(target)
+    state = _oracle_start(target, order)
+    want = PolyScaledState.start(target)
     for _ in range(2):
         state = _oracle_step(target, state, order)
-    polys, _ = _integer_system(target, state.denominator)
-    lowest = [min(map(sum, p.terms)) for p in state.numerators]
+        want = shared_scaled_step(target, want, order)
+    polys, _ = oracles.integer_system(target, state.denominator)
+    lowest = [min(map(sum, p.terms)) for p in want.numerators]
     kept = [[m for m in p.terms
              if sum(e * d for e, d in zip(m, lowest)) <= order] for p in polys]
     distinct = {q for monos in kept for m in monos for q in prefixes(m)}
@@ -104,28 +178,47 @@ def test_one_product_per_distinct_monomial_prefix(monkeypatch):
     # the two equations share monomials, so sharing saves products
     assert len(distinct) < per_equation
 
-    calls = {"compose": 0, "power_compose": 0, "mul_truncated": 0}
+    names = ("compose", "power_compose", "mul_truncated", "_truncated_product")
+    calls = dict.fromkeys(names, 0)
     count_calls(monkeypatch, calls, Poly, "compose")
     count_calls(monkeypatch, calls, Poly, "mul_truncated")
     count_calls(monkeypatch, calls, oracles, "power_compose")
+    count_calls(monkeypatch, calls, carleman.solver, "_truncated_product")
     stepped = _oracle_step(target, state, order)
-    shared = dict(calls)
-    calls.update(compose=0, power_compose=0, mul_truncated=0)
-    old = compose_scaled_step(target, state, order)
+    listed = dict(calls)
+    calls.update(dict.fromkeys(names, 0))
+    shared = shared_scaled_step(target, want, order)
+    on_dicts = dict(calls)
+    calls.update(dict.fromkeys(names, 0))
+    old = compose_scaled_step(target, want, order)
     monkeypatch.undo()
-    assert shared == {"compose": 0, "power_compose": 0,
-                      "mul_truncated": len(distinct)}
-    assert old.numerators == stepped.numerators
+    assert listed == {"compose": 0, "power_compose": 0, "mul_truncated": 0,
+                      "_truncated_product": len(distinct)}
+    assert on_dicts["mul_truncated"] == len(distinct)
+    assert as_polys(stepped) == shared.numerators == old.numerators
     assert calls["compose"] == 0
     assert calls["power_compose"] == target.k
     assert calls["mul_truncated"] > len(distinct)
 
 
+def test_list_state_memory_is_linear_in_the_basis():
+    # each variable holds one list of basis length; no table of basis
+    # pairs is kept
+    system, _ = parse_system(COUPLED, Mode.EXACT)
+    order = 8
+    state = _oracle_start(system, order)
+    for _ in range(3):
+        state = _oracle_step(system, state, order)
+    n = basis_size(system.k, order)
+    assert [len(column) for column in state.numerators] == [n] * system.k
+    assert len(state.system.position) == len(state.system.keys) == n
+
+
 def test_float_step_shares_products_too(monkeypatch):
-    # the float step reads the same product table as the exact one: no
-    # Poly.compose per equation, one mul_truncated per distinct prefix
+    # the float step reads poly.product_table: no Poly.compose per
+    # equation, one mul_truncated per distinct prefix
     system, _ = parse_system(COUPLED, Mode.FLOAT)
-    state = _oracle_start(system)
+    state = _oracle_start(system, 6)
     for _ in range(2):
         state = _oracle_step(system, state, 6)
     distinct = {q for p in system.polys for m in p.terms for q in prefixes(m)}

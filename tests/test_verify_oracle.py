@@ -1,7 +1,8 @@
 """verify() against its Fraction oracle.
 
-Exact verify iterates the oracle as integer polynomials over one shared
-denominator and evaluates the closed form from a table of integer powers.
+Exact verify iterates the oracle as integer lists indexed by basis
+position over one shared denominator and evaluates the closed form from
+a table of integer powers.
 oracles.fraction_verify is the loop it replaced: Fraction polynomials and
 ExpSum.evaluate. The two reports must agree row for row: with == on every
 expected and got value in exact mode. Float verify forms the oracle's
@@ -153,14 +154,23 @@ def add_cell(entries):
                   "expsum": [{"base": "2", "coeff": "1"}]})
 
 
+def add_cell_outside_basis(entries):
+    # a monomial of degree 5, one past the order: the oracle truncates
+    # there, so the list oracle has no position for it. The cell is 0 at
+    # i = 0 and fails from i = 1 on
+    entries[0]["terms"].append({"monomial": [2, 2, 1], "expsum": [
+        {"base": "2", "coeff": "1"}, {"base": "3", "coeff": "-1"}]})
+
+
 def reverse_cells(entries):
     for entry in entries:
         entry["terms"].reverse()
 
 
 @pytest.mark.parametrize("tamper, passes", [
-    (delete_cell, False), (add_cell, False), (reverse_cells, True)],
-    ids=["deleted-cell", "extra-cell", "reversed-cells"])
+    (delete_cell, False), (add_cell, False), (add_cell_outside_basis, False),
+    (reverse_cells, True)],
+    ids=["deleted-cell", "extra-cell", "outside-basis-cell", "reversed-cells"])
 def test_tampered_rows_match_fraction_verify(tamper, passes):
     # the rows walk each table's grlex order when the oracle's monomials
     # are in the table (extra or reordered cells) and sort the union
@@ -176,6 +186,20 @@ def test_tampered_rows_match_fraction_verify(tamper, passes):
             assert got.passed == passes
         assert_same_exact_report(
             got, fraction_verify(stored, system, max_power=max_power))
+
+
+def test_stored_order_past_the_basis_limit_matches_fraction_verify():
+    # k = 3 at order 120 has more than BASIS_SIZE_LIMIT monomials, so the
+    # exact oracle has no list basis and steps as Fraction polynomials
+    system, names = parse_system(TRI3, Mode.EXACT)
+    data = solve(system, SolveOptions(order=2), names).to_json()
+    data["order"] = 120
+    stored = ClosedFormSolution.from_json(data)
+    assert isinstance(_oracle_start(system, stored.order), list)
+    got = verify(stored, system, max_power=3)
+    assert not got.passed
+    assert_same_exact_report(
+        got, fraction_verify(stored, system, max_power=3))
 
 
 @pytest.mark.parametrize("text, matrix", [
@@ -209,10 +233,10 @@ def test_oracle_keeps_the_least_shared_denominator(text):
     # no factor is left common to the denominator and every numerator, so
     # the denominator is the lcm of the reduced coefficient denominators
     system, _ = parse_system(text, Mode.EXACT)
-    state = _oracle_start(system)
+    state = _oracle_start(system, 4)
     for _ in range(5):
         state = _oracle_step(system, state, 4)
-        coefficients = [c for p in state.numerators for c in p.terms.values()]
+        coefficients = [c for column in state.numerators for c in column if c]
         assert all(type(c) is int for c in coefficients)
         assert math.gcd(state.denominator, *coefficients) == 1
         assert state.denominator == math.lcm(
