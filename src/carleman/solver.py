@@ -773,6 +773,12 @@ class _ScaledState:
             denominator //= common
         return cls(numerators, denominator, system)
 
+    def terms(self) -> List[Dict[Monomial, int]]:
+        """Each numerator as its nonzero monomial -> integer map."""
+        monomials = self.system.monomials
+        return [dict(zip(itertools.compress(monomials, column),
+                         filter(None, column))) for column in self.numerators]
+
 
 _OracleState = Union[List[Poly], _ScaledState]
 
@@ -887,9 +893,8 @@ def oracle_iterate_symbolic(system: PolySystem, i: int,
         state = _oracle_step(system, state, max_degree)
     if isinstance(state, _ScaledState):
         return [Poly(system.k, {m: Fraction(c, state.denominator)
-                                for m, c in zip(state.system.monomials, column)
-                                if c})
-                for column in state.numerators]
+                                for m, c in terms.items()})
+                for terms in state.terms()]
     return state
 
 
@@ -1040,10 +1045,7 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     worst = 0.0
     for i in range(steps + 1):
         if isinstance(state, _ScaledState):
-            monomials, den = state.system.monomials, state.denominator
-            oracle = [dict(zip(itertools.compress(monomials, column),
-                               filter(None, column)))
-                      for column in state.numerators]
+            oracle, den = state.terms(), state.denominator
         else:
             # float, or an exact order whose basis is past BASIS_SIZE_LIMIT
             oracle, den = [p.terms for p in state], 1

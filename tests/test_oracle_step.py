@@ -49,10 +49,8 @@ def stepped_systems(system, order, options):
 
 def as_polys(state):
     """The numerators of a list state as integer polynomials."""
-    monomials = state.system.monomials
-    return [Poly._trusted(len(monomials[0]), {
-        m: c for m, c in zip(monomials, column) if c})
-        for column in state.numerators]
+    k = len(state.numerators)
+    return [Poly._trusted(k, terms) for terms in state.terms()]
 
 
 def assert_same_state(state, want):
