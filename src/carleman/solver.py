@@ -735,9 +735,6 @@ class _IntegerSystem:
     degree <= order is the sum of its factors' keys: position maps it to
     the product's place in the basis."""
 
-    __slots__ = ("monomials", "keys", "position", "degrees", "order",
-                 "polys", "scale", "degree")
-
     def __init__(self, system: PolySystem, order: int):
         self.monomials = MonomialBasis(system.k, order).monomials
         self.keys = [functools.reduce(lambda key, e: key * (order + 1) + e,
@@ -917,9 +914,9 @@ def _exact_table_values(tables: Sequence[Dict[Monomial, ExpSum]], steps: int
         for mono, exp_sum in table.items():
             numerators, lcd = over_lcm([c.as_integer_ratio()
                                         for _, c in exp_sum.terms])
-            row[mono] = (lcd, numerators, [
-                keys.setdefault(b.as_integer_ratio(), len(keys))
-                for b, _ in exp_sum.terms])
+            row[mono] = (lcd, [
+                (keys.setdefault(b.as_integer_ratio(), len(keys)), r)
+                for (b, _), r in zip(exp_sum.terms, numerators)])
         cells.append(row)
     multipliers, common = over_lcm(list(keys))
     powers = [1] * len(multipliers)
@@ -928,10 +925,8 @@ def _exact_table_values(tables: Sequence[Dict[Monomial, ExpSum]], steps: int
         if i:
             powers = [x * m for x, m in zip(powers, multipliers)]
             common_power *= common
-        power = powers.__getitem__
-        yield [{mono: (sum(map(operator.mul, rs, map(power, js))),
-                       lcd * common_power)
-                for mono, (lcd, rs, js) in row.items()} for row in cells]
+        yield [{mono: (sum(r * powers[j] for j, r in terms), lcd * common_power)
+                for mono, (lcd, terms) in row.items()} for row in cells]
 
 
 @dataclass(frozen=True)
