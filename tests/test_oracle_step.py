@@ -92,11 +92,6 @@ def test_random_systems_step_like_compose_per_equation():
     assert fractional > 0
 
 
-# the dict reference is slow on wide dense states: a drawn order is
-# lowered until the basis holds at most this many monomials
-REFERENCE_BASIS_CAP = 500
-
-
 @st.composite
 def exact_systems(draw):
     """(flattened exact system, order, step count): k from 1 to 3 and
@@ -114,8 +109,6 @@ def exact_systems(draw):
     system = reduce_depth(PolySystem(k=k, depth=depth, polys=polys,
                                      mode=Mode.EXACT))
     order = draw(st.integers(1, 8))
-    while basis_size(system.k, order) > REFERENCE_BASIS_CAP:
-        order -= 1
     return system, order, draw(st.integers(0, order + 2))
 
 
