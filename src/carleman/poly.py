@@ -230,14 +230,19 @@ class Poly:
 
 
 def within_cutoff(terms: Iterable[Tuple[Monomial, Scalar]],
-                  arguments: Sequence[Poly], max_degree: Optional[int]
+                  arguments: Sequence[Poly], max_degree: Optional[int],
+                  lowest: Optional[Sequence[int]] = None
                   ) -> List[Tuple[Monomial, Scalar]]:
     """The (m, c) of terms whose product prod_s arguments[s]**m[s] can
     reach degree max_degree or below: a product that starts above the
-    cutoff adds nothing."""
+    cutoff adds nothing. lowest[s], the lowest degree in arguments[s]
+    (max_degree + 1 for a zero argument), is read from arguments unless
+    given."""
     if max_degree is None:
         return list(terms)
-    lowest = [min(map(sum, arg.terms), default=max_degree + 1) for arg in arguments]
+    if lowest is None:
+        lowest = [min(map(sum, arg.terms), default=max_degree + 1)
+                  for arg in arguments]
     return [(mono, coeff) for mono, coeff in terms
             if sum(map(operator.mul, mono, lowest)) <= max_degree]
 

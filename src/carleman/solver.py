@@ -36,12 +36,11 @@ import dataclasses
 import functools
 import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from .embedding import (BASIS_SIZE_LIMIT, MonomialBasis, basis_size,
                         build_transition)
@@ -50,7 +49,8 @@ from .errors import (ArityError, CarlemanError, NotShiftedError,
                      SizeLimitError, TriangularizationError)
 from .linalg import is_upper_triangular, mat_vec, max_abs
 from .poly import (Monomial, Poly, affine_images, compose_shared, grlex_key,
-                   integer_scaled, prefix_products, product_table)
+                   integer_scaled, prefix_products, product_table,
+                   within_cutoff)
 from .scalars import (Mode, Scalar, format_scalar, nearly_equal, over_lcm,
                       scalar_from_json, scalar_to_json, sort_key)
 from .systems import (AdmissibilityReport, PolySystem, TransformParams,
@@ -131,10 +131,22 @@ class ExpSum:
 
     @classmethod
     def from_json(cls, mode: Mode, data, read=None) -> "ExpSum":
-        """Inverse of to_json; read reads one scalar (scalar_from_json)."""
+        """Inverse of to_json; read reads one scalar (scalar_from_json).
+        A float sum is read by the rule _rounded writes it with
+        (_kept_float_sum), so a stored solution keeps every term."""
         read = read or functools.partial(scalar_from_json, mode)
-        return cls.from_terms(mode, [(read(t["base"]), read(t["coeff"]))
-                                     for t in data])
+        pairs = [(read(t["base"]), read(t["coeff"])) for t in data]
+        if mode is Mode.EXACT:
+            return cls.from_terms(mode, pairs)
+        return _kept_float_sum(pairs)
+
+
+def _kept_float_sum(pairs: Iterable[Tuple[Scalar, Scalar]]) -> ExpSum:
+    """The float sum of every (base, coeff) pair whose coefficient is not
+    0, sorted by the float key: no merge and no coefficient drop, which
+    ExpSum.from_terms applies without regard to the base."""
+    return ExpSum(Mode.FLOAT, tuple(sorted((bc for bc in pairs if bc[1]),
+                                           key=lambda bc: sort_key(bc[0]))))
 
 
 def _split_sign(value: Scalar) -> Tuple[str, Scalar]:
@@ -553,20 +565,16 @@ def _exact_options(opts: SolveOptions) -> Optional[SolveOptions]:
 
 def _rounded(solution: ClosedFormSolution) -> ClosedFormSolution:
     """An exact solution in float mode, every scalar rounded once. A cell
-    keeps every term of its exact sum, sorted by the float key: the float
-    coefficient drop of ExpSum.from_terms, which ignores the base, would
-    remove terms that matter. Only a coefficient that rounds to 0 goes."""
+    keeps every term of its exact sum (_kept_float_sum): only a
+    coefficient that rounds to 0 goes."""
     mode = Mode.FLOAT
 
     def vector(values):
         return tuple(map(mode.from_fraction, values))
 
-    def rounded_sum(exact_sum):
-        terms = (bc for bc in map(vector, exact_sum.terms) if bc[1])
-        return ExpSum(mode, tuple(sorted(terms, key=lambda bc: sort_key(bc[0]))))
-
     def table(cells):
-        sums = ((m, rounded_sum(s)) for m, s in cells.items())
+        sums = ((m, _kept_float_sum(map(vector, s.terms)))
+                for m, s in cells.items())
         return {m: s for m, s in sums if not s.is_zero()}
     transform = solution.transform
     return dataclasses.replace(
@@ -724,88 +732,96 @@ def _exp_sum_tables(mode: Mode, eigs: Sequence[Scalar],
 _ORACLE_TERM_LIMIT = 10 ** 6
 
 
-class _IntegerSystem:
-    """An exact system scaled to integers once, with the basis of
-    monomials of degree <= order that indexes the exact oracle state.
+class _OracleState(NamedTuple):
+    """Oracle state: variable l is numerators[l] / denominator.
 
-    polys[p] holds the (monomial, coefficient, degree) terms of the
-    integer polynomial scale * f_p, scale the lcm of all coefficient
-    denominators; degree is the system's degree. A basis monomial's key
-    packs its exponents in base order + 1, so the key of a product of
-    degree <= order is the sum of its factors' keys: position maps it to
-    the product's place in the basis."""
+    polys is the update map times scale, the lcm of its coefficient
+    denominators in exact mode (polys and numerators are integer, and no
+    factor above 1 divides the denominator and every numerator) and 1
+    in float mode. degree is the map's degree, order the degree cutoff
+    (None: none). An exact state whose order is 1 or more, with at most
+    BASIS_SIZE_LIMIT basis monomials, holds lists indexed by grlex basis
+    position: a key packs exponents in base order + 1, so a product
+    within the order has the sum of its factors' keys, and position
+    maps that to its place. Otherwise monomials is None and numerators
+    are polynomials."""
 
-    def __init__(self, system: PolySystem, order: int):
-        self.monomials = MonomialBasis(system.k, order).monomials
-        self.keys = [functools.reduce(lambda key, e: key * (order + 1) + e,
-                                      mono, 0) for mono in self.monomials]
-        self.position = {key: a for a, key in enumerate(self.keys)}
-        self.degrees = [sum(mono) for mono in self.monomials]
-        self.order = order
-        scaled, self.scale = integer_scaled(system.polys)
-        self.polys = [[(m, c, sum(m)) for m, c in p.terms.items()]
-                      for p in scaled]
-        self.degree = max(0, max(p.degree() for p in system.polys))
-
-
-@dataclass(frozen=True)
-class _ScaledState:
-    """Exact oracle state in integers: variable l is the polynomial with
-    coefficient numerators[l][a] / denominator on basis monomial a of
-    system. The denominator is positive, and no factor above 1 divides it
-    and every numerator."""
-
-    numerators: List[List[int]]
+    numerators: list
     denominator: int
-    system: _IntegerSystem
+    polys: List[Poly]
+    scale: int
+    degree: int
+    order: Optional[int]
+    monomials: Optional[List[Monomial]] = None
+    keys: Sequence[int] = ()
+    position: Optional[Dict[int, int]] = None
+    degrees: Sequence[int] = ()
 
-    @classmethod
-    def reduced(cls, numerators: List[List[int]], denominator: int,
-                system: _IntegerSystem) -> "_ScaledState":
-        if denominator == 1:
-            return cls(numerators, 1, system)
-        common = math.gcd(denominator, *itertools.chain.from_iterable(numerators))
-        if common > 1:
-            numerators = [[x // common for x in column] for column in numerators]
-            denominator //= common
-        return cls(numerators, denominator, system)
-
-    def terms(self) -> List[Dict[Monomial, int]]:
-        """Each numerator as its nonzero monomial -> integer map."""
-        monomials = self.system.monomials
-        return [dict(zip(itertools.compress(monomials, column),
+    def terms(self) -> List[Dict[Monomial, Scalar]]:
+        """Each numerator as its monomial -> nonzero coefficient map."""
+        if self.monomials is None:
+            return [p.terms for p in self.numerators]
+        return [dict(zip(itertools.compress(self.monomials, column),
                          filter(None, column))) for column in self.numerators]
 
-
-_OracleState = Union[List[Poly], _ScaledState]
+    def reduced(self, numerators: list, denominator: int) -> "_OracleState":
+        """This state with numerators over denominator, both divided by
+        their common gcd."""
+        lists = self.monomials is not None
+        values = numerators if lists else [p.terms.values() for p in numerators]
+        common = 1
+        if denominator > 1:
+            common = math.gcd(denominator, *itertools.chain.from_iterable(values))
+        if common > 1 and lists:
+            numerators = [[x // common for x in column] for column in numerators]
+        elif common > 1:
+            numerators = [Poly._trusted(p.var_count, {m: c // common
+                                                      for m, c in p.terms.items()})
+                          for p in numerators]
+        return self._replace(numerators=numerators,
+                             denominator=denominator // common)
 
 
 def _oracle_start(system: PolySystem, max_degree: Optional[int]
                   ) -> _OracleState:
-    """The identity map. In exact mode with a cutoff of 1 or more whose
-    basis holds at most BASIS_SIZE_LIMIT monomials, integer lists over 1;
-    otherwise polynomials."""
-    if (system.mode is Mode.EXACT and (max_degree or 0) >= 1
-            and basis_size(system.k, max_degree) <= BASIS_SIZE_LIMIT):
-        integer = _IntegerSystem(system, max_degree)
-        # basis positions 1..k are the variables
-        return _ScaledState([[int(a == l + 1) for a in range(len(integer.keys))]
-                             for l in range(system.k)], 1, integer)
-    one = system.mode.one
-    return [Poly.variable(system.k, l).scaled(one) for l in range(system.k)]
+    """The identity map, to be stepped with degrees above max_degree
+    dropped (None: no cutoff)."""
+    k = system.k
+    degree = max(0, max(p.degree() for p in system.polys))
+    if system.mode is Mode.EXACT:
+        polys, scale = integer_scaled(system.polys)
+        one = 1
+    else:
+        polys, scale, one = list(system.polys), 1, system.mode.one
+    state = _OracleState(
+        [Poly._trusted(k, {tuple(int(t == l) for t in range(k)): one})
+         for l in range(k)], 1, polys, scale, degree, max_degree)
+    if (system.mode is not Mode.EXACT or (max_degree or 0) < 1
+            or basis_size(k, max_degree) > BASIS_SIZE_LIMIT):
+        return state
+    monomials = MonomialBasis(k, max_degree).monomials
+    keys = [functools.reduce(lambda key, e: key * (max_degree + 1) + e,
+                             mono, 0) for mono in monomials]
+    # basis positions 1..k are the variables
+    return state._replace(
+        numerators=[[int(a == l + 1) for a in range(len(keys))]
+                    for l in range(k)],
+        monomials=monomials, keys=keys,
+        position={key: a for a, key in enumerate(keys)},
+        degrees=list(map(sum, monomials)))
 
 
 def _truncated_product(left: List[Tuple[int, int]],
                        right: Tuple[List[Tuple[int, int]], List[int]],
-                       system: _IntegerSystem) -> List[Tuple[int, int]]:
+                       state: _OracleState) -> List[Tuple[int, int]]:
     """The nonzero (position, value) entries of left * right, degrees
     above the order dropped. left holds (position, value) entries; right
     is (entries, cuts), the other factor's nonzero (key, value) entries
     in basis order and cuts[r] the count of them of degree <= r. A left
     entry of degree d meets the first cuts[order - d], and each pair's
     position is read from its key sum."""
-    keys, position, degrees = system.keys, system.position, system.degrees
-    order = system.order
+    keys, position, degrees = state.keys, state.position, state.degrees
+    order = state.order
     entries, cuts = right
     out = [0] * len(keys)
     for a, x in left:
@@ -815,62 +831,59 @@ def _truncated_product(left: List[Tuple[int, int]],
     return [(a, x) for a, x in enumerate(out) if x]
 
 
-def _scaled_step(state: _ScaledState) -> _ScaledState:
-    """One exact oracle step on basis-indexed integer lists. With D the
-    state denominator and g the system's degree, numerator p is the sum,
-    over the terms c * m of the integer polynomial scale * f_p, of
-    c * D^(g - |m|) times the truncated product of the numerators for m;
-    the new denominator is scale * D^g."""
-    system = state.system
+def _list_step(state: _OracleState, polys: List[Poly]) -> List[List[int]]:
+    """The basis-indexed lists of polys composed with the state's, degrees
+    above the order dropped."""
+    order = state.order
     factors, lowest = [], []
     for column in state.numerators:
         nonzero = [a for a, x in enumerate(column) if x]
         # grlex order: degrees ascend along the basis
-        degrees = [system.degrees[a] for a in nonzero]
-        factors.append(([(system.keys[a], column[a]) for a in nonzero],
+        degrees = [state.degrees[a] for a in nonzero]
+        factors.append(([(state.keys[a], column[a]) for a in nonzero],
                         [bisect.bisect_right(degrees, r)
-                         for r in range(system.order + 1)]))
-        lowest.append(degrees[0] if degrees else system.order + 1)
+                         for r in range(order + 1)]))
+        lowest.append(degrees[0] if degrees else order + 1)
     product = prefix_products(
         len(factors), [(0, 1)],
-        lambda left, s: _truncated_product(left, factors[s], system))
-    den_powers = [state.denominator ** e for e in range(system.degree + 1)]
+        lambda left, s: _truncated_product(left, factors[s], state))
     numerators = []
-    for terms in system.polys:
-        column = [0] * len(system.keys)
-        for mono, c, degree in terms:
-            # a product that starts above the cutoff adds nothing
-            if sum(map(operator.mul, mono, lowest)) > system.order:
-                continue
-            c *= den_powers[system.degree - degree]
+    for p in polys:
+        column = [0] * len(state.keys)
+        for mono, c in within_cutoff(p.terms.items(), (), order, lowest):
             for a, x in product(mono):
                 column[a] += c * x
         numerators.append(column)
-    return _ScaledState.reduced(
-        numerators, system.scale * den_powers[system.degree], system)
+    return numerators
 
 
-def _oracle_step(system: PolySystem, state: _OracleState,
-                 max_degree: Optional[int]) -> _OracleState:
-    """Compose the update map with the state, dropping degrees above
-    max_degree, each distinct monomial's truncated state product formed
-    once per step for all k equations. An exact state, which carries the
-    integer system and basis _oracle_start made from system and
-    max_degree, steps by _scaled_step and is reduced by the gcd of the
-    new denominator and all numerators. Polynomial states step by
-    poly.compose_shared."""
-    if isinstance(state, _ScaledState):
-        new_state = _scaled_step(state)
-        total_terms = sum(len(column) - column.count(0)
-                          for column in new_state.numerators)
+def _oracle_step(state: _OracleState) -> _OracleState:
+    """Compose the update map with the state, dropping degrees above the
+    order, each distinct monomial's truncated state product formed once
+    per step for all k equations. With D the denominator and g the
+    system's degree, numerator p becomes the sum, over the terms c * m of
+    polys[p], of c * D^(g - |m|) times the truncated product of the
+    numerators for m, over the denominator scale * D^g; both are then
+    divided by their common gcd. Basis-indexed lists multiply by
+    _truncated_product, polynomials by poly.compose_shared."""
+    g = state.degree
+    den_powers = [state.denominator ** e for e in range(g + 1)]
+    polys = state.polys if state.denominator == 1 else [
+        Poly._trusted(p.var_count, {m: c * den_powers[g - sum(m)]
+                                    for m, c in p.terms.items()})
+        for p in state.polys]
+    if state.monomials is None:
+        numerators = compose_shared(polys, state.numerators, state.order)
+        total_terms = sum(len(p.terms) for p in numerators)
     else:
-        new_state = compose_shared(system.polys, state, max_degree)
-        total_terms = sum(len(p.terms) for p in new_state)
+        numerators = _list_step(state, polys)
+        total_terms = sum(len(column) - column.count(0)
+                          for column in numerators)
     if total_terms > _ORACLE_TERM_LIMIT:
         raise SizeLimitError(
             f"symbolic iteration exceeded {_ORACLE_TERM_LIMIT} terms; "
             f"lower the step count or the degree cutoff")
-    return new_state
+    return state.reduced(numerators, state.scale * den_powers[g])
 
 
 def oracle_iterate_symbolic(system: PolySystem, i: int,
@@ -879,20 +892,19 @@ def oracle_iterate_symbolic(system: PolySystem, i: int,
     values. With a zero constant term and a degree cutoff N, the retained
     coefficients are exact (degree grading); without a cutoff the
     expansion is exact but can explode, so a term-count guard applies.
-    Exact mode with a cutoff iterates in integers; exact coefficients are
-    Fractions.
+    Exact mode iterates in integers and returns Fraction coefficients.
     """
     system.require_depth_one("symbolic iteration")
     if i < 0:
         raise ValueError(f"iteration count must be non-negative, got {i}")
     state = _oracle_start(system, max_degree)
     for _ in range(i):
-        state = _oracle_step(system, state, max_degree)
-    if isinstance(state, _ScaledState):
-        return [Poly(system.k, {m: Fraction(c, state.denominator)
-                                for m, c in terms.items()})
-                for terms in state.terms()]
-    return state
+        state = _oracle_step(state)
+    if system.mode is not Mode.EXACT:
+        return state.numerators
+    return [Poly(system.k, {m: Fraction(c, state.denominator)
+                            for m, c in terms.items()})
+            for terms in state.terms()]
 
 
 def _exact_table_values(tables: Sequence[Dict[Monomial, ExpSum]], steps: int
@@ -1006,9 +1018,9 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     cell makes one Fraction. Float mode allows relative error up to tol.
     Each oracle step forms every distinct monomial's truncated product
     once for all k equations (_oracle_step): exact states are integer
-    lists indexed by basis position, the system scaled to integers once
-    per verify; float states are polynomials. grlex_key sorts each table
-    once.
+    lists indexed by basis position (integer polynomials for a basis past
+    BASIS_SIZE_LIMIT), the system scaled to integers once per verify;
+    float states are polynomials. grlex_key sorts each table once.
     """
     steps = solution.order if max_power is None else max_power
     if steps < 0:
@@ -1039,11 +1051,7 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     state = _oracle_start(target, order)
     worst = 0.0
     for i in range(steps + 1):
-        if isinstance(state, _ScaledState):
-            oracle, den = state.terms(), state.denominator
-        else:
-            # float, or an exact order whose basis is past BASIS_SIZE_LIMIT
-            oracle, den = [p.terms for p in state], 1
+        oracle, den = state.terms(), state.denominator
         if exact:
             values = next(exact_values)
         else:
@@ -1070,7 +1078,7 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
                 rows.append(VerificationRow(i, solution.names[p], mono,
                                             expected, got, error, ok))
         if i < steps:
-            state = _oracle_step(target, state, order)
+            state = _oracle_step(state)
     return VerificationReport(
         rows=tuple(rows),
         passed=all(r.ok for r in rows),

@@ -481,7 +481,7 @@ def _oracle_step(system: PolySystem, state: List[Poly],
 class PolyScaledState:
     """The exact oracle state before basis-indexed lists: variable l is
     the integer polynomial numerators[l] divided by denominator, reduced
-    like solver._ScaledState."""
+    like solver._OracleState."""
 
     numerators: List[Poly]
     denominator: int

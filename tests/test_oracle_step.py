@@ -3,12 +3,14 @@
 solver._oracle_step keeps an exact state as one integer list per
 variable, indexed by basis position, and forms each distinct monomial's
 truncated product of the state once per step, shared across the k
-equations (solver._truncated_product). oracles.shared_scaled_step is the
-step before the lists: the same shared products on tuple-keyed integer
-polynomials (poly.compose_shared). oracles.compose_scaled_step is the
-step before that: one oracles.power_compose per equation. Every step
-must give equal numerators and the same denominator. Without a degree
-cutoff the state is Fraction polynomials, equal to the reference's.
+equations (solver._truncated_product). Without a basis (no cutoff, a
+cutoff of 0, or one past BASIS_SIZE_LIMIT) the numerators are integer
+polynomials stepped by poly.compose_shared. oracles.compose_scaled_step
+is the per-equation step: one oracles.power_compose per equation, the
+reference of the named and random cases. oracles.shared_scaled_step is
+the step before the lists: the shared products on tuple-keyed integer
+polynomials, the reference of the hypothesis test. Every step must give
+equal numerators and the same denominator.
 """
 
 import random
@@ -54,20 +56,19 @@ def as_polys(state):
 
 
 def assert_same_state(state, want):
-    if isinstance(state, list):  # no degree cutoff
-        assert state == want.fractions()
-    else:
-        assert state.denominator == want.denominator
-        assert as_polys(state) == want.numerators
+    assert state.denominator == want.denominator
+    assert as_polys(state) == want.numerators
 
 
-def check_steps(system, steps, max_degree):
+def check_steps(system, steps, max_degree, reference=compose_scaled_step):
+    """Step the oracle and reference side by side; the last reference
+    state."""
     state = _oracle_start(system, max_degree)
     want = PolyScaledState.start(system)
     assert_same_state(state, want)
     for _ in range(steps):
-        state = _oracle_step(system, state, max_degree)
-        want = shared_scaled_step(system, want, max_degree)
+        state = _oracle_step(state)
+        want = reference(system, want, max_degree)
         assert_same_state(state, want)
     return want
 
@@ -116,17 +117,18 @@ def exact_systems(draw):
 @given(exact_systems())
 def test_list_oracle_equals_dict_step_on_random_systems(case):
     system, order, steps = case
-    want = check_steps(system, steps, order)
+    want = check_steps(system, steps, order, shared_scaled_step)
     assert oracle_iterate_symbolic(system, steps, order) == want.fractions()
 
 
-@pytest.mark.parametrize("max_degree", [0, 120])
-def test_cutoffs_without_a_basis_step_as_polynomials(max_degree):
-    # a cutoff below 1 or past BASIS_SIZE_LIMIT monomials (k = 3 at 120)
-    # has no list basis: the state stays Fraction polynomials
+@pytest.mark.parametrize("max_degree", [None, 0, 120])
+def test_cutoffs_without_a_basis_step_as_integer_polynomials(max_degree):
+    # no cutoff, a cutoff below 1 or one past BASIS_SIZE_LIMIT monomials
+    # (k = 3 at 120) has no list basis: the numerators stay integer
+    # polynomials, stepped in integers like the reference
     system = parse_system(TRI3, Mode.EXACT)[0]
-    assert isinstance(_oracle_start(system, max_degree), list)
-    want = check_steps(system, 3, max_degree)
+    assert _oracle_start(system, max_degree).monomials is None
+    want = check_steps(system, 3, max_degree, shared_scaled_step)
     assert oracle_iterate_symbolic(system, 3, max_degree) == want.fractions()
 
 
@@ -157,7 +159,7 @@ def test_one_product_per_distinct_monomial_prefix(monkeypatch):
     state = _oracle_start(target, order)
     want = PolyScaledState.start(target)
     for _ in range(2):
-        state = _oracle_step(target, state, order)
+        state = _oracle_step(state)
         want = shared_scaled_step(target, want, order)
     polys, _ = oracles.integer_system(target, state.denominator)
     lowest = [min(map(sum, p.terms)) for p in want.numerators]
@@ -175,7 +177,7 @@ def test_one_product_per_distinct_monomial_prefix(monkeypatch):
     count_calls(monkeypatch, calls, Poly, "mul_truncated")
     count_calls(monkeypatch, calls, oracles, "power_compose")
     count_calls(monkeypatch, calls, carleman.solver, "_truncated_product")
-    stepped = _oracle_step(target, state, order)
+    stepped = _oracle_step(state)
     listed = dict(calls)
     calls.update(dict.fromkeys(names, 0))
     shared = shared_scaled_step(target, want, order)
@@ -199,10 +201,10 @@ def test_list_state_memory_is_linear_in_the_basis():
     order = 8
     state = _oracle_start(system, order)
     for _ in range(3):
-        state = _oracle_step(system, state, order)
+        state = _oracle_step(state)
     n = basis_size(system.k, order)
     assert [len(column) for column in state.numerators] == [n] * system.k
-    assert len(state.system.position) == len(state.system.keys) == n
+    assert len(state.position) == len(state.keys) == n
 
 
 def test_float_step_shares_products_too(monkeypatch):
@@ -211,10 +213,10 @@ def test_float_step_shares_products_too(monkeypatch):
     system, _ = parse_system(COUPLED, Mode.FLOAT)
     state = _oracle_start(system, 6)
     for _ in range(2):
-        state = _oracle_step(system, state, 6)
+        state = _oracle_step(state)
     distinct = {q for p in system.polys for m in p.terms for q in prefixes(m)}
     calls = {"compose": 0, "mul_truncated": 0}
     count_calls(monkeypatch, calls, Poly, "compose")
     count_calls(monkeypatch, calls, Poly, "mul_truncated")
-    _oracle_step(system, state, 6)
+    _oracle_step(state)
     assert calls == {"compose": 0, "mul_truncated": len(distinct)}

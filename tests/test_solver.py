@@ -540,6 +540,29 @@ def test_solution_json_round_trip_float():
     assert back == solution
 
 
+K2_FLOAT = ("vars: u, v\n"
+            "u[i] = -39*u[i-1]^2 + 95/2*u[i-1]*v[i-1] - 29/2*v[i-1]^2"
+            " - 27*u[i-1] + 15*v[i-1]\n"
+            "v[i] = -52*u[i-1]^2 + 62*u[i-1]*v[i-1] - 37/2*v[i-1]^2"
+            " - 44*u[i-1] + 25*v[i-1]\n")
+
+
+def test_stored_float_solution_keeps_every_term():
+    # the rounded exact sums hold terms that ExpSum.from_terms's
+    # coefficient drop removes; read back without them, this solution
+    # fails verify where the one written passes
+    system, names = parse_system(K2_FLOAT, Mode.FLOAT)
+    solution = solve(system, SolveOptions(order=7, mode=Mode.FLOAT), names)
+    assert any(ExpSum.from_terms(Mode.FLOAT, list(s.terms)) != s
+               for table in solution.tables for s in table.values())
+    back = ClosedFormSolution.from_json(
+        json.loads(json.dumps(solution.to_json())))
+    assert back == solution
+    report = verify(back, system)
+    assert report.passed
+    assert report.describe() == verify(solution, system).describe()
+
+
 def test_solution_from_json_tolerates_missing_transformed_when_unshifted():
     system, names = logistic(F(2))
     solution = solve(system, SolveOptions(order=3), names=names)

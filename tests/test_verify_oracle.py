@@ -190,12 +190,12 @@ def test_tampered_rows_match_fraction_verify(tamper, passes):
 
 def test_stored_order_past_the_basis_limit_matches_fraction_verify():
     # k = 3 at order 120 has more than BASIS_SIZE_LIMIT monomials, so the
-    # exact oracle has no list basis and steps as Fraction polynomials
+    # exact oracle has no list basis and steps as integer polynomials
     system, names = parse_system(TRI3, Mode.EXACT)
     data = solve(system, SolveOptions(order=2), names).to_json()
     data["order"] = 120
     stored = ClosedFormSolution.from_json(data)
-    assert isinstance(_oracle_start(system, stored.order), list)
+    assert _oracle_start(system, stored.order).monomials is None
     got = verify(stored, system, max_power=3)
     assert not got.passed
     assert_same_exact_report(
@@ -228,15 +228,17 @@ FRACTIONAL = ("vars: u, v\n"
               "v[i] = 1/3*v[i-1] + 3/4*u[i-1]*v[i-1] - 5/6*u[i-1]^2\n")
 
 
+@pytest.mark.parametrize("max_degree", [4, None])
 @pytest.mark.parametrize("text", [LOGISTIC, FRACTIONAL])
-def test_oracle_keeps_the_least_shared_denominator(text):
+def test_oracle_keeps_the_least_shared_denominator(text, max_degree):
     # no factor is left common to the denominator and every numerator, so
-    # the denominator is the lcm of the reduced coefficient denominators
+    # the denominator is the lcm of the reduced coefficient denominators;
+    # with no cutoff the numerators are polynomials, with one basis lists
     system, _ = parse_system(text, Mode.EXACT)
-    state = _oracle_start(system, 4)
+    state = _oracle_start(system, max_degree)
     for _ in range(5):
-        state = _oracle_step(system, state, 4)
-        coefficients = [c for column in state.numerators for c in column if c]
+        state = _oracle_step(state)
+        coefficients = [c for terms in state.terms() for c in terms.values()]
         assert all(type(c) is int for c in coefficients)
         assert math.gcd(state.denominator, *coefficients) == 1
         assert state.denominator == math.lcm(
