@@ -1,16 +1,23 @@
 """Command-line front end.
 
 Subcommands: solve, matrix, verify, eval, transform. Input is a
-recurrence file in the DSL (or '-' for stdin). Exit codes: 0 success,
-1 parse error, 2 solver-stage error, 3 verification failure.
+recurrence file in the DSL (or '-' for stdin). The default truncation
+order is 6. All output is deterministic for fixed input, flags, and seed.
 
-The default truncation order is 6. All output is deterministic for
-fixed input, flags, and seed.
+Output contract: main reads and parses the input once and runs the
+command, which returns its report; main writes the report (JSON with
+--format json, text lines otherwise) to stdout, or to the --output path.
+An error goes to stderr as one line. Exit codes: 0 success; 1 a parse
+error, an input that cannot be read (the recurrence, --matrix-a or
+--solution file) or an --output path that cannot be written; 2 a
+solver-stage error; 3 verification failure. A transform whose shift
+search fails exits 2 and still reports the candidates it tried.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -18,12 +25,11 @@ from typing import Optional, Sequence
 from .embedding import MonomialBasis, build_transition
 from .errors import CarlemanError, ParseError, ShiftNotFoundError
 from .parser import parse_system, pretty_print
-from .scalars import Mode, format_scalar, parse_scalar_text, scalar_from_json, \
-    scalar_to_json
+from .scalars import (Mode, format_scalar, format_vector, parse_scalar_text,
+                      scalar_from_json, scalar_to_json)
 from .solver import (ClosedFormSolution, SolveOptions, eval_direct,
-                     history_to_reduced_state,
-                     reduced_variable_names, resolve_shift, resolve_transform,
-                     solve, verify)
+                     history_to_reduced_state, reduced_variable_names,
+                     resolve_shift, resolve_transform, solve, verify)
 from .systems import reduce_depth
 
 EXIT_OK = 0
@@ -148,90 +154,68 @@ def _options_from_args(args) -> SolveOptions:
     )
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output is None:
+def _emit(report, args) -> None:
+    """Write a JSON payload or a list of text lines where args send it."""
+    text = (json.dumps(report, indent=2) if args.format == "json"
+            else "\n".join(report)) + "\n"
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _load_system(args, mode: Mode):
-    source = _read_input(args.input)
-    return parse_system(source, mode)
 
 
 def _vector_json(values) -> list:
     return [scalar_to_json(x) for x in values]
 
 
-def _vector_inline(values) -> str:
-    return "[" + ", ".join(format_scalar(x) for x in values) + "]"
-
-
 def _matrix_inline(rows) -> str:
-    return "[" + ", ".join(_vector_inline(row) for row in rows) + "]"
+    return "[" + ", ".join(map(format_vector, rows)) + "]"
 
 
 # -- subcommands -----------------------------------------------------------------
+# Each takes (args, opts, system, names) and returns (report, exit code): a
+# JSON payload under --format json, a list of text lines otherwise.
 
 
-def _cmd_solve(args) -> int:
-    opts = _options_from_args(args)
-    system, names = _load_system(args, opts.mode)
+def _cmd_solve(args, opts, system, names):
     solution = solve(system, opts, names=names)
     if args.format == "json":
-        text = json.dumps(solution.to_json(), indent=2) + "\n"
-    else:
-        lines = [
-            f"order: {solution.order}",
+        return solution.to_json(), EXIT_OK
+    return [f"order: {solution.order}",
             f"mode: {solution.mode.value}",
-            "shift: " + _vector_inline(solution.transform.offset),
+            "shift: " + format_vector(solution.transform.offset),
             "matrix: " + _matrix_inline(solution.transform.matrix),
-            solution.render_text().rstrip("\n"),
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return EXIT_OK
+            solution.render_text().rstrip("\n")], EXIT_OK
 
 
-def _cmd_matrix(args) -> int:
-    opts = _options_from_args(args)
+def _cmd_matrix(args, opts, system, names):
     if args.shift is None:
         opts.shift = "none"  # show the matrix of the system as written
-    system, _names = _load_system(args, opts.mode)
     _reduced, transformed, _combined = resolve_transform(
         system, opts, require_shifted=False)
     basis = MonomialBasis(transformed.k, opts.order)
     transition = build_transition(transformed, basis)
     triangular = transition.is_triangular
-    payload = transition.to_json()
-    payload["triangular"] = triangular
-    payload["eigenvalues"] = (_vector_json(transition.diagonal())
-                              if triangular else None)
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [
-            f"k: {payload['k']}",
-            f"order: {payload['N']}",
-            f"size: {len(transition.rows)}",
-            f"triangular: {str(triangular).lower()}",
-        ]
-        if triangular:
-            lines.append("eigenvalues: " + ", ".join(
-                format_scalar(x) for x in transition.diagonal()))
-        for mono, row in zip(basis.monomials, transition.dense_rows()):
-            cells = ", ".join(format_scalar(x) for x in row)
-            lines.append(f"{list(mono)}: [{cells}]")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return EXIT_OK
+        payload = transition.to_json()
+        payload["triangular"] = triangular
+        payload["eigenvalues"] = (_vector_json(transition.diagonal())
+                                  if triangular else None)
+        return payload, EXIT_OK
+    lines = [f"k: {basis.k}",
+             f"order: {basis.order}",
+             f"size: {len(transition.rows)}",
+             f"triangular: {str(triangular).lower()}"]
+    if triangular:
+        lines.append("eigenvalues: " + ", ".join(
+            format_scalar(x) for x in transition.diagonal()))
+    lines.extend(f"{list(mono)}: {format_vector(row)}"
+                 for mono, row in zip(basis.monomials, transition.dense_rows()))
+    return lines, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    opts = _options_from_args(args)
-    system, names = _load_system(args, opts.mode)
+def _cmd_verify(args, opts, system, names):
     if args.solution is not None:
         with open(args.solution, "r", encoding="utf-8") as handle:
             data = _read_json(handle.read(), "solution file")
@@ -240,17 +224,12 @@ def _cmd_verify(args) -> int:
         solution = solve(system, opts, names=names)
     report = verify(solution, system, max_power=args.max_power,
                     tol=args.tolerance)
-    if args.format == "json":
-        text = json.dumps(report.to_json(), indent=2) + "\n"
-    else:
-        text = report.describe() + "\n"
-    _emit(text, args.output)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    code = EXIT_OK if report.passed else EXIT_VERIFY
+    return (report.to_json() if args.format == "json"
+            else [report.describe()]), code
 
 
-def _cmd_eval(args) -> int:
-    opts = _options_from_args(args)
-    system, names = _load_system(args, opts.mode)
+def _cmd_eval(args, opts, system, names):
     history = [parse_scalar_text(opts.mode, piece)
                for piece in args.z0.split(",")]
     index = args.index
@@ -264,123 +243,94 @@ def _cmd_eval(args) -> int:
         solution = solve(system, opts, names=names)
         state = history_to_reduced_state(system, history)
         closed = solution.evaluate(index - (depth - 1), state)[:k]
+    rows = [(names[l], direct[l], closed[l], float(abs(direct[l] - closed[l])))
+            for l in range(k)]
     if args.format == "json":
-        payload = {
-            "index": index,
-            "variables": [{
-                "name": names[l],
-                "direct": scalar_to_json(direct[l]),
-                "closed": scalar_to_json(closed[l]),
-                "difference": float(abs(direct[l] - closed[l])),
-            } for l in range(k)],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = []
-        for l in range(k):
-            diff = float(abs(direct[l] - closed[l]))
-            lines.append(f"{names[l]}[{index}]: direct={format_scalar(direct[l])} "
-                         f"closed={format_scalar(closed[l])} |diff|={diff:.3g}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return EXIT_OK
+        return {"index": index, "variables": [{
+            "name": name,
+            "direct": scalar_to_json(d),
+            "closed": scalar_to_json(c),
+            "difference": diff,
+        } for name, d, c, diff in rows]}, EXIT_OK
+    return [f"{name}[{index}]: direct={format_scalar(d)} "
+            f"closed={format_scalar(c)} |diff|={diff:.3g}"
+            for name, d, c, diff in rows], EXIT_OK
 
 
 def _candidates_json(trail, with_collisions: bool = False) -> list:
     out = []
     for cand in trail:
+        report = cand.report
         entry = {
             "shift": _vector_json(cand.offset),
-            "admissible": (cand.report.passed
-                           if cand.report is not None else None),
+            "admissible": report.passed if report is not None else None,
             "note": cand.note or None,
-            "advisories": (list(cand.report.advisories)
-                           if cand.report is not None else []),
+            "advisories": list(report.advisories) if report is not None else [],
         }
         if with_collisions:
             entry["collisions"] = [{
                 "monomials": [list(mono_a), list(mono_b)],
                 "value": scalar_to_json(value),
-            } for mono_a, mono_b, value in (cand.report.collisions
-                                            if cand.report is not None
-                                            else ())]
+            } for mono_a, mono_b, value in (report.collisions
+                                            if report is not None else ())]
         out.append(entry)
     return out
 
 
-def _candidates_text(trail, auto_error: Optional[str]) -> list:
+def _candidates_text(trail, auto_failure: Optional[CarlemanError]) -> list:
     lines = ["candidates:"]
+    reason = str(auto_failure or "")
     if not trail:
-        lines.append(f"  (none: {auto_error})" if auto_error else "  (none)")
+        lines.append(f"  (none: {reason})" if reason else "  (none)")
     for cand in trail:
-        offset_text = _vector_inline(cand.offset)
+        offset_text = format_vector(cand.offset)
         if cand.report is None:
             lines.append(f"  shift {offset_text}: unavailable ({cand.note})")
             continue
         status = "PASS" if cand.report.passed else "FAIL"
         eigs = ", ".join(format_scalar(x) for x in cand.report.eigenvalues)
         lines.append(f"  shift {offset_text}: {status} (eigenvalues {eigs})")
-        for mono_a, mono_b, value in cand.report.collisions:
-            lines.append(f"    collision: {tuple(mono_a)} and {tuple(mono_b)} "
-                         f"both give {format_scalar(value)}")
-        for note in cand.report.advisories:
-            lines.append(f"    advisory: {note}")
+        lines.extend(cand.report.notes("    "))
     return lines
 
 
-def _cmd_transform(args) -> int:
-    opts = _options_from_args(args)
-    system, names = _load_system(args, opts.mode)
-    reduced = reduce_depth(system)
-    reduced_names = list(reduced_variable_names(system, names))
-
+def _cmd_transform(args, opts, system, names):
     # candidate listing always follows the auto policy, even when the
     # final transform is pinned by --shift
-    probe = SolveOptions(order=opts.order, mode=opts.mode, shift="auto",
-                         matrix=opts.matrix, seed=opts.seed)
+    auto_failure = None
     try:
-        _offset, trail = resolve_shift(reduced, probe)
-        auto_error = None
-    except ShiftNotFoundError as exc:
-        trail = exc.trail
-        auto_error = str(exc)
+        offset, trail = resolve_shift(reduce_depth(system),
+                                      dataclasses.replace(opts, shift="auto"))
     except CarlemanError as exc:
-        trail = []
-        auto_error = str(exc)
-
+        auto_failure, trail = exc, getattr(exc, "trail", [])
     try:
+        if opts.shift == "auto":
+            if auto_failure is not None:
+                raise auto_failure
+            # the offset the probe chose, so the auto search runs once
+            opts = dataclasses.replace(opts, shift=offset)
         _reduced, transformed, combined = resolve_transform(system, opts)
-    except ShiftNotFoundError:
+    except ShiftNotFoundError as exc:
         # the refused candidates, each with its collisions, are the report
         # a failing shift search needs; the error itself goes to stderr
-        if args.format == "json":
-            payload = {"candidates": _candidates_json(trail,
-                                                      with_collisions=True)}
-            _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        else:
-            _emit("\n".join(_candidates_text(trail, auto_error)) + "\n",
-                  args.output)
+        exc.report = (
+            {"candidates": _candidates_json(trail, with_collisions=True)}
+            if args.format == "json" else _candidates_text(trail, auto_failure))
         raise
 
+    reduced_names = list(reduced_variable_names(system, names))
     if args.format == "json":
-        payload = {
+        return {
             "candidates": _candidates_json(trail),
             "shift": _vector_json(combined.offset),
             "matrix": [_vector_json(row) for row in combined.matrix],
             "system": pretty_print(transformed, reduced_names),
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-        _emit(text, args.output)
-        return EXIT_OK
-
-    lines = _candidates_text(trail, auto_error)
-    lines.append(f"chosen shift: {_vector_inline(combined.offset)}")
-    lines.append("matrix: " + _matrix_inline(combined.matrix))
-    lines.append("transformed system:")
-    lines.append(pretty_print(transformed, reduced_names).rstrip("\n"))
-    text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return EXIT_OK
+        }, EXIT_OK
+    return _candidates_text(trail, auto_failure) + [
+        f"chosen shift: {format_vector(combined.offset)}",
+        "matrix: " + _matrix_inline(combined.matrix),
+        "transformed system:",
+        pretty_print(transformed, reduced_names).rstrip("\n")], EXIT_OK
 
 
 _COMMANDS = {
@@ -393,19 +343,28 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_argparser()
-    args = parser.parse_args(argv)
+    args = _build_argparser().parse_args(argv)
+    report, error = None, None
     try:
-        return _COMMANDS[args.command](args)
+        opts = _options_from_args(args)
+        system, names = parse_system(_read_input(args.input), opts.mode)
+        report, code = _COMMANDS[args.command](args, opts, system, names)
     except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
+        code, error = EXIT_PARSE, f"parse error: {exc}"
     except OSError as exc:
-        sys.stderr.write(f"cannot read input: {exc}\n")
-        return EXIT_PARSE
+        code, error = EXIT_PARSE, f"cannot read input: {exc}"
     except CarlemanError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SOLVER
+        # a refused transform carries the candidates it tried
+        report = getattr(exc, "report", None)
+        code, error = EXIT_SOLVER, f"error: {exc}"
+    if report is not None:
+        try:
+            _emit(report, args)
+        except OSError as exc:
+            code, error = EXIT_PARSE, f"cannot write output: {exc}"
+    if error is not None:
+        sys.stderr.write(error + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -36,8 +36,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CarlemanError, NonPolynomialError, ParseError, SourceSpan
-from .poly import Poly
-from .scalars import Mode, Scalar, format_scalar
+from .poly import Poly, render_monomial
+from .scalars import Mode, format_scalar, split_sign
 from .systems import PolySystem
 
 # -- lexer ----------------------------------------------------------------
@@ -315,26 +315,16 @@ def parse_system(text: str, mode: Mode) -> Tuple[PolySystem, List[str]]:
 # -- rendering ----------------------------------------------------------------
 
 
-def _render_monomial(mono, names: Sequence[str], k: int) -> str:
-    parts = []
-    for flat, e in enumerate(mono):
-        if not e:
-            continue
-        lag = flat // k + 1
-        factor = f"{names[flat % k]}[i-{lag}]"
-        parts.append(factor if e == 1 else f"{factor}^{e}")
-    return "*".join(parts)
-
-
-def _render_poly(p: Poly, names: Sequence[str], k: int) -> str:
+def _render_poly(p: Poly, factor_names: Sequence[str]) -> str:
     if p.is_zero():
         return "0"
     ordered = sorted(p.terms.items(),
                      key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
     pieces: List[str] = []
     for position, (mono, coeff) in enumerate(ordered):
-        factors = _render_monomial(mono, names, k)
-        magnitude = format_scalar(-coeff if _is_negative(coeff) else coeff)
+        factors = render_monomial(mono, factor_names)
+        sign, mag = split_sign(coeff)
+        magnitude = format_scalar(mag)
         if factors and magnitude == "1":
             body = factors
         elif factors:
@@ -342,7 +332,7 @@ def _render_poly(p: Poly, names: Sequence[str], k: int) -> str:
         else:
             body = magnitude
         if position == 0:
-            if not _is_negative(coeff):
+            if sign == "+":
                 pieces.append(body)
             elif factors and magnitude == "1":
                 # a sign may only prefix a number literal, so spell out the 1
@@ -350,16 +340,8 @@ def _render_poly(p: Poly, names: Sequence[str], k: int) -> str:
             else:
                 pieces.append(f"-{body}")
         else:
-            pieces.append(f" - {body}" if _is_negative(coeff) else f" + {body}")
+            pieces.append(f" {sign} {body}")
     return "".join(pieces)
-
-
-def _is_negative(coeff: Scalar) -> bool:
-    if isinstance(coeff, Fraction):
-        return coeff < 0
-    if coeff.imag == 0:
-        return coeff.real < 0
-    return False
 
 
 def pretty_print(system: PolySystem, names: Optional[Sequence[str]] = None) -> str:
@@ -370,7 +352,10 @@ def pretty_print(system: PolySystem, names: Optional[Sequence[str]] = None) -> s
         names = ["u"] if k == 1 else [f"u{l + 1}" for l in range(k)]
     if len(names) != k:
         raise CarlemanError(f"expected {k} names, got {len(names)}")
+    # flattened variable flat is names[flat % k] at lag flat // k + 1
+    factors = [f"{names[flat % k]}[i-{flat // k + 1}]"
+               for flat in range(k * system.depth)]
     lines = ["vars: " + ", ".join(names)]
     for l in range(k):
-        lines.append(f"{names[l]}[i] = " + _render_poly(system.polys[l], names, k))
+        lines.append(f"{names[l]}[i] = " + _render_poly(system.polys[l], factors))
     return "\n".join(lines) + "\n"

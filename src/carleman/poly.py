@@ -183,18 +183,6 @@ class Poly:
                 base = base.mul_truncated(base, max_degree)
         return result
 
-    def compose(self, arguments: Sequence["Poly"],
-                max_degree: Optional[int] = None) -> "Poly":
-        """Substitute a polynomial for each variable."""
-        if len(arguments) != self.var_count:
-            raise ArityError(
-                f"expected {self.var_count} argument polynomials, got {len(arguments)}")
-        inner_vars = arguments[0].var_count
-        for arg in arguments:
-            if arg.var_count != inner_vars:
-                raise ArityError("argument polynomials disagree on variable count")
-        return compose_shared([self], arguments, max_degree)[0]
-
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         """Value at a point, with per-variable power caching."""
         if len(point) != self.var_count:
@@ -227,6 +215,13 @@ class Poly:
                 lowered = tuple(x - 1 if i == var else x for i, x in enumerate(mono))
                 terms[lowered] = terms.get(lowered, 0) + coeff * e
         return Poly(self.var_count, terms)
+
+
+def render_monomial(monomial: Monomial, factors: Sequence[str]) -> str:
+    """factors[l]^monomial[l] joined by '*'; exponent 1 written bare and
+    exponent 0 left out."""
+    return "*".join(f if e == 1 else f"{f}^{e}"
+                    for f, e in zip(factors, monomial) if e)
 
 
 def within_cutoff(terms: Iterable[Tuple[Monomial, Scalar]],
@@ -283,9 +278,10 @@ def product_table(factors: Sequence[Poly], max_degree: Optional[int] = None,
 
 def compose_shared(polys: Sequence[Poly], arguments: Sequence[Poly],
                    max_degree: Optional[int] = None) -> List[Poly]:
-    """[p.compose(arguments, max_degree) for p in polys], each distinct
-    monomial's product prod_s arguments[s]**m[s] read from one
-    product_table and shared by every p that uses it."""
+    """Each p with arguments[s] substituted for variable s, degrees above
+    max_degree dropped; each distinct monomial's product
+    prod_s arguments[s]**m[s] is read from one product_table and shared
+    by every p that uses it."""
     k = arguments[0].var_count
     product = product_table(arguments, max_degree)
     out = []

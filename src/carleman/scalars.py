@@ -13,7 +13,7 @@ import re
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import CarlemanError
 
@@ -94,6 +94,19 @@ def format_scalar(value: Scalar) -> str:
     if value.imag == 0:
         return repr(value.real + 0.0)
     return repr(complex(value.real + 0.0, value.imag + 0.0))
+
+
+def format_vector(values: Iterable[Scalar]) -> str:
+    """Scalars bracketed and comma-separated, e.g. '[1, -1/2]'."""
+    return "[" + ", ".join(map(format_scalar, values)) + "]"
+
+
+def split_sign(value: Scalar) -> Tuple[str, Scalar]:
+    """Real scalars give ('-', magnitude) when negative; complex values
+    with an imaginary part keep their sign inside ('+', value)."""
+    if value.imag == 0 and value.real < 0:
+        return "-", -value
+    return "+", value
 
 
 def scalar_to_json(value: Scalar):

@@ -50,9 +50,10 @@ from .errors import (ArityError, CarlemanError, NotShiftedError,
 from .linalg import is_upper_triangular, mat_vec, max_abs
 from .poly import (Monomial, Poly, affine_images, compose_shared, grlex_key,
                    integer_scaled, prefix_products, product_table,
-                   within_cutoff)
-from .scalars import (Mode, Scalar, format_scalar, nearly_equal, over_lcm,
-                      scalar_from_json, scalar_to_json, sort_key)
+                   render_monomial, within_cutoff)
+from .scalars import (Mode, Scalar, format_scalar, format_vector, nearly_equal,
+                      over_lcm, scalar_from_json, scalar_to_json, sort_key,
+                      split_sign)
 from .systems import (AdmissibilityReport, PolySystem, TransformParams,
                       apply_affine, below_diagonal, check_shift_admissible,
                       constant_term, drop_float_residue, fixed_points,
@@ -75,9 +76,12 @@ _PLAIN_NUMBER = re.compile(r"^[0-9]+(\.[0-9]+)?$")
 class ExpSum:
     """Function of the step index i of the form sum of coeff * base^i.
 
-    Canonical: bases pairwise distinct (Float: merged when within 1e-9
-    relative), no zero coefficients, sorted ascending by the scalar
-    ordering (Float: magnitude then phase).
+    Canonical: no zero coefficients, sorted ascending by the scalar
+    ordering (Float: magnitude then phase), bases pairwise distinct in
+    Exact mode. from_terms builds a float sum from computed terms,
+    merging bases within 1e-9 relative; a float solution rounded from
+    an exact one, and a stored float sum read back, keeps every nonzero
+    term unmerged (_kept_float_sum).
     """
 
     mode: Mode
@@ -149,18 +153,8 @@ def _kept_float_sum(pairs: Iterable[Tuple[Scalar, Scalar]]) -> ExpSum:
                                            key=lambda bc: sort_key(bc[0]))))
 
 
-def _split_sign(value: Scalar) -> Tuple[str, Scalar]:
-    """Real scalars give ('-', magnitude) when negative; complex values
-    with an imaginary part keep their sign inside ('+', value)."""
-    if isinstance(value, Fraction):
-        return ("-", -value) if value < 0 else ("+", value)
-    if value.imag == 0 and value.real < 0:
-        return "-", -value
-    return "+", value
-
-
 def _render_term(base: Scalar, coeff: Scalar, index_name: str) -> Tuple[str, str]:
-    sign, mag = _split_sign(coeff)
+    sign, mag = split_sign(coeff)
     mag_text = format_scalar(mag)
     if "j" in mag_text or "+" in mag_text or mag_text.startswith("-"):
         mag_text = f"({mag_text})"
@@ -244,9 +238,10 @@ class ClosedFormSolution:
         pieces: List[str] = []
         if self.offsets[p] != 0:
             pieces.append(format_scalar(self.offsets[p]))
+        factors = [f"{name}[0]" for name in self.names]
         for mono in sorted(self.tables[p], key=grlex_key):
             exp_sum = self.tables[p][mono]
-            mono_text = _render_initial_monomial(mono, self.names)
+            mono_text = render_monomial(mono, factors)
             if mono_text:
                 pieces.append(f"({exp_sum.render()})*{mono_text}")
             else:
@@ -333,16 +328,6 @@ def _tables_from_json(mode: Mode, read, entries, known_entries=(),
         for p, entry in enumerate(entries))
 
 
-def _render_initial_monomial(mono: Monomial, names: Sequence[str]) -> str:
-    factors = []
-    for l, e in enumerate(mono):
-        if e == 0:
-            continue
-        factor = f"{names[l]}[0]"
-        factors.append(factor if e == 1 else f"{factor}^{e}")
-    return "*".join(factors)
-
-
 # -- pipeline stages ------------------------------------------------------------
 
 
@@ -418,10 +403,9 @@ def resolve_shift(system: PolySystem, opts: SolveOptions
     if chosen is None:
         # a candidate refused before its products were compared carries
         # the reason in its note
-        tried = ", ".join(
-            "[" + ", ".join(format_scalar(x) for x in c.offset) + "]"
-            + (f": {c.note}" if c.note else "")
-            for c in trail) or "none found"
+        tried = ", ".join(format_vector(c.offset)
+                          + (f": {c.note}" if c.note else "")
+                          for c in trail) or "none found"
         # float mode helps only where exact mode could not compare products
         remedy = ("use --mode float" if mode is Mode.EXACT
                   and (not trail or any(c.note for c in trail))
@@ -566,7 +550,8 @@ def _exact_options(opts: SolveOptions) -> Optional[SolveOptions]:
 def _rounded(solution: ClosedFormSolution) -> ClosedFormSolution:
     """An exact solution in float mode, every scalar rounded once. A cell
     keeps every term of its exact sum (_kept_float_sum): only a
-    coefficient that rounds to 0 goes."""
+    coefficient that rounds to 0 goes. A^-1 comes from the rounded A by
+    TransformParams.create, as ClosedFormSolution.from_json reads it."""
     mode = Mode.FLOAT
 
     def vector(values):
@@ -581,10 +566,8 @@ def _rounded(solution: ClosedFormSolution) -> ClosedFormSolution:
         solution, mode=mode, offsets=vector(solution.offsets),
         tables=tuple(map(table, solution.tables)),
         transformed=tuple(map(table, solution.transformed)),
-        transform=TransformParams(
-            matrix=tuple(map(vector, transform.matrix)),
-            offset=vector(transform.offset),
-            matrix_inv=tuple(map(vector, transform.matrix_inv)), mode=mode))
+        transform=TransformParams.create(
+            list(map(vector, transform.matrix)), vector(transform.offset), mode))
 
 
 def reduced_variable_names(system: PolySystem,

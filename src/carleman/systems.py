@@ -96,7 +96,12 @@ class PolySystem:
 
 @dataclass(frozen=True)
 class TransformParams:
-    """Affine change of coordinates z' = matrix (z - offset)."""
+    """Affine change of coordinates z' = matrix (z - offset).
+
+    create inverts the matrix by Gauss-Jordan in its mode, except that a
+    finite real float matrix is inverted exactly, from the rationals its
+    doubles hold, and the inverse rounded once: so equal doubles give
+    the same inverse wherever they come from."""
 
     matrix: Tuple[Tuple[Scalar, ...], ...]
     offset: Tuple[Scalar, ...]
@@ -109,7 +114,13 @@ class TransformParams:
         k = len(offset)
         if len(matrix) != k or any(len(row) != k for row in matrix):
             raise ArityError("transform matrix shape does not match the offset length")
-        inverse = mat_inverse(matrix, mode)
+        if mode is Mode.FLOAT and all(not x.imag and math.isfinite(x.real)
+                                      for row in matrix for x in row):
+            exact = mat_inverse([[Fraction(x.real) for x in row]
+                                 for row in matrix], Mode.EXACT)
+            inverse = [[mode.from_fraction(x) for x in row] for row in exact]
+        else:
+            inverse = mat_inverse(matrix, mode)
         return cls(matrix=tuple(tuple(row) for row in matrix),
                    offset=tuple(offset),
                    matrix_inv=tuple(tuple(row) for row in inverse),
@@ -279,12 +290,14 @@ class AdmissibilityReport:
         status = "PASS" if self.passed else "FAIL"
         lines = [f"eigenvalues: {eigs}",
                  f"distinct products up to degree {self.max_power}: {status}"]
-        for mono_a, mono_b, value in self.collisions:
-            lines.append(f"  collision: {mono_a} and {mono_b} both give "
-                         f"{format_scalar(value)}")
-        for note in self.advisories:
-            lines.append(f"  advisory: {note}")
-        return "\n".join(lines)
+        return "\n".join(lines + self.notes("  "))
+
+    def notes(self, indent: str) -> List[str]:
+        """One line per collision, then one per advisory, each indented."""
+        return ([f"{indent}collision: {mono_a} and {mono_b} both give "
+                 f"{format_scalar(value)}"
+                 for mono_a, mono_b, value in self.collisions]
+                + [f"{indent}advisory: {note}" for note in self.advisories])
 
 
 def _eigenvalues_with_multiplicity(matrix: List[List[Scalar]],

@@ -29,7 +29,9 @@ DELETED = (
     "ExpSumAccumulator", "_base_rank", "_householder_step", "_float_nullvector",
     "total_degree", "parse", "lower", "SystemNode", "EquationNode",
     "NumberNode", "VarRefNode", "BinaryNode", "PowerNode", "walk",
-    "_default_order", "_ORDER_ENV",
+    "_default_order", "_ORDER_ENV", "compose", "_split_sign", "_is_negative",
+    "_render_initial_monomial", "_render_monomial", "_vector_inline",
+    "_load_system",
 )
 
 OWNERS = (

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import carleman.cli
+import carleman.embedding
+import carleman.solver
 from carleman.cli import main
 
 LOGISTIC = "vars: u\nu[i] = 2*u[i-1] - 2*u[i-1]^2\n"
@@ -397,6 +400,34 @@ def test_transform_json(tmp_path, capsys):
     assert data["system"] == "vars: u\nu[i] = u[i-1]^3 - 4*u[i-1]^2 + 5*u[i-1]\n"
 
 
+@pytest.mark.parametrize("shift", [[], ["--shift", "none"]])
+def test_transform_runs_the_auto_shift_search_once(tmp_path, capsys,
+                                                   monkeypatch, shift):
+    # the candidate listing's auto search also gives the chosen shift
+    searches = []
+    search = carleman.solver.resolve_shift
+
+    def counting(system, opts):
+        searches.append(opts.shift)
+        return search(system, opts)
+
+    monkeypatch.setattr(carleman.cli, "resolve_shift", counting)
+    monkeypatch.setattr(carleman.solver, "resolve_shift", counting)
+    assert main(["transform", write(tmp_path, CUBIC), "--order", "2",
+                 *shift]) == 0
+    assert "chosen shift: [" in capsys.readouterr().out
+    assert searches.count("auto") == 1
+
+
+def test_text_matrix_builds_no_json_payload(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("to_json called for a text report")
+
+    monkeypatch.setattr(carleman.embedding.CarlemanMatrix, "to_json", refuse)
+    assert main(["matrix", write(tmp_path, LOGISTIC), "--order", "2"]) == 0
+    assert capsys.readouterr().out.startswith("k: 1\norder: 2\n")
+
+
 def test_transform_logistic_keeps_origin(tmp_path, capsys):
     code = main(["transform", write(tmp_path, LOGISTIC), "--order", "3"])
     assert code == 0
@@ -741,6 +772,17 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(["solve", path, "--order", "3"]) == 0
     assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+def test_unwritable_output_is_reported_as_such(tmp_path, capsys):
+    path = write(tmp_path, LOGISTIC)
+    target = tmp_path / "no-such-dir" / "report.txt"
+    code = main(["solve", path, "--order", "2", "--output", str(target)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("cannot write output: [Errno 2] No such file or "
+                            f"directory: {str(target)!r}\n")
 
 
 def test_matrix_a_accepts_file_path(tmp_path, capsys):

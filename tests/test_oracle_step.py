@@ -171,9 +171,8 @@ def test_one_product_per_distinct_monomial_prefix(monkeypatch):
     # the two equations share monomials, so sharing saves products
     assert len(distinct) < per_equation
 
-    names = ("compose", "power_compose", "mul_truncated", "_truncated_product")
+    names = ("power_compose", "mul_truncated", "_truncated_product")
     calls = dict.fromkeys(names, 0)
-    count_calls(monkeypatch, calls, Poly, "compose")
     count_calls(monkeypatch, calls, Poly, "mul_truncated")
     count_calls(monkeypatch, calls, oracles, "power_compose")
     count_calls(monkeypatch, calls, carleman.solver, "_truncated_product")
@@ -185,11 +184,10 @@ def test_one_product_per_distinct_monomial_prefix(monkeypatch):
     calls.update(dict.fromkeys(names, 0))
     old = compose_scaled_step(target, want, order)
     monkeypatch.undo()
-    assert listed == {"compose": 0, "power_compose": 0, "mul_truncated": 0,
+    assert listed == {"power_compose": 0, "mul_truncated": 0,
                       "_truncated_product": len(distinct)}
     assert on_dicts["mul_truncated"] == len(distinct)
     assert as_polys(stepped) == shared.numerators == old.numerators
-    assert calls["compose"] == 0
     assert calls["power_compose"] == target.k
     assert calls["mul_truncated"] > len(distinct)
 
@@ -208,15 +206,14 @@ def test_list_state_memory_is_linear_in_the_basis():
 
 
 def test_float_step_shares_products_too(monkeypatch):
-    # the float step reads poly.product_table: no Poly.compose per
-    # equation, one mul_truncated per distinct prefix
+    # the float step reads poly.product_table: one mul_truncated per
+    # distinct prefix, shared by the equations
     system, _ = parse_system(COUPLED, Mode.FLOAT)
     state = _oracle_start(system, 6)
     for _ in range(2):
         state = _oracle_step(state)
     distinct = {q for p in system.polys for m in p.terms for q in prefixes(m)}
-    calls = {"compose": 0, "mul_truncated": 0}
-    count_calls(monkeypatch, calls, Poly, "compose")
+    calls = {"mul_truncated": 0}
     count_calls(monkeypatch, calls, Poly, "mul_truncated")
     _oracle_step(state)
-    assert calls == {"compose": 0, "mul_truncated": len(distinct)}
+    assert calls == {"mul_truncated": len(distinct)}

@@ -563,6 +563,20 @@ def test_stored_float_solution_keeps_every_term():
     assert report.describe() == verify(solution, system).describe()
 
 
+def test_stored_float_solution_with_a_basis_change_reads_back_equal():
+    # A^-1 of the rounded A follows one rule on both sides: solve rounds
+    # the exact inverse of its doubles, and so does from_json
+    system, names = parse_system(K2_FLOAT, Mode.FLOAT)
+    opts = SolveOptions(order=7, mode=Mode.FLOAT,
+                        matrix=[[-3, 2], [-2, 1]])
+    solution = solve(system, opts, names)
+    back = ClosedFormSolution.from_json(
+        json.loads(json.dumps(solution.to_json())))
+    assert back == solution
+    assert verify(back, system).describe() == \
+        verify(solution, system).describe()
+
+
 def test_solution_from_json_tolerates_missing_transformed_when_unshifted():
     system, names = logistic(F(2))
     solution = solve(system, SolveOptions(order=3), names=names)
