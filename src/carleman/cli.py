@@ -79,7 +79,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-power", type=int, default=5, dest="max_power",
                           help="largest step index compared (default 5)")
     p_verify.add_argument("--tolerance", type=float, default=1e-8,
-                          help="float-mode relative tolerance")
+                          help="float-mode relative tolerance (finite, >= 0)")
 
     p_eval = subs.add_parser(
         "eval", help="evaluate the trajectory directly and via the closed form")
@@ -97,11 +97,16 @@ def _build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _read_text(path: str, stdin: bool = False) -> str:
+    """A UTF-8 file's text ('-' with stdin set: stdin's); else OSError."""
+    try:
+        if stdin and path == "-":
+            buffer = getattr(sys.stdin, "buffer", None)  # a StringIO has none
+            return buffer.read().decode("utf-8") if buffer else sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path!r} is not UTF-8 text: {exc}") from None
 
 
 def _parse_shift_flag(raw: Optional[str], mode: Mode):
@@ -132,8 +137,7 @@ def _parse_matrix_flag(raw: Optional[str], mode: Mode):
         return None
     text = raw.strip()
     if not text.startswith("["):
-        with open(text, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(text)
     data = _read_json(text, "--matrix-a")
     if (not isinstance(data, list) or not data
             or any(not isinstance(row, list) for row in data)):
@@ -217,8 +221,7 @@ def _cmd_matrix(args, opts, system, names):
 
 def _cmd_verify(args, opts, system, names):
     if args.solution is not None:
-        with open(args.solution, "r", encoding="utf-8") as handle:
-            data = _read_json(handle.read(), "solution file")
+        data = _read_json(_read_text(args.solution), "solution file")
         solution = ClosedFormSolution.from_json(data)
     else:
         solution = solve(system, opts, names=names)
@@ -347,7 +350,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report, error = None, None
     try:
         opts = _options_from_args(args)
-        system, names = parse_system(_read_input(args.input), opts.mode)
+        text = _read_text(args.input, stdin=True)
+        system, names = parse_system(text, opts.mode)
         report, code = _COMMANDS[args.command](args, opts, system, names)
     except ParseError as exc:
         code, error = EXIT_PARSE, f"parse error: {exc}"

@@ -25,8 +25,8 @@ the oracle holds one integer list per variable, indexed by position in
 the grlex basis of monomials up to the order, over one shared
 denominator reduced by the common gcd after every step; the closed form
 is evaluated from one running power per distinct eigenvalue over a
-common denominator. A coefficient on which they agree becomes one
-Fraction.
+common denominator. Every coefficient is compared at every step; the
+rows of agreeing ones are built only when the report's rows are read.
 """
 
 from __future__ import annotations
@@ -935,22 +935,45 @@ class VerificationRow:
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
-    rows: Tuple[VerificationRow, ...]
+    """The verdict of verify(). by_step holds each step's max error and
+    failing rows, all that describe() reads; rows, every compared cell in
+    comparison order, is made by build_rows the first time it is read."""
+
     passed: bool
     max_discrepancy: float
     coordinates: str
     order: int
     steps: int
+    by_step: Tuple[Tuple[float, Tuple[VerificationRow, ...]], ...]
+    build_rows: Callable[[], Tuple[VerificationRow, ...]]
+
+    @classmethod
+    def create(cls, coordinates: str, order: int, steps: int,
+               rows: Iterable[VerificationRow], build_rows=None
+               ) -> "VerificationReport":
+        """rows grouped by step in one pass; with build_rows, only the
+        failing rows (every other row has error 0)."""
+        groups: List[List[VerificationRow]] = [[] for _ in range(steps + 1)]
+        worst = 0.0
+        for row in rows:
+            groups[row.step].append(row)
+            worst = max(worst, row.error)
+        by_step = tuple((max((r.error for r in g), default=0.0),
+                         tuple(r for r in g if not r.ok)) for g in groups)
+        return cls(not any(failing for _, failing in by_step), worst,
+                   coordinates, order, steps, by_step,
+                   build_rows or (lambda: tuple(rows)))
+
+    @functools.cached_property
+    def rows(self) -> Tuple[VerificationRow, ...]:
+        return self.build_rows()
 
     def describe(self) -> str:
         lines = [f"coordinates: {self.coordinates}",
                  f"checked steps 0..{self.steps} at order {self.order}"]
-        for i in range(self.steps + 1):
-            step_rows = [r for r in self.rows if r.step == i]
-            failing = [r for r in step_rows if not r.ok]
-            worst = max((r.error for r in step_rows), default=0.0)
+        for i, (worst, failing) in enumerate(self.by_step):
             lines.append(f"i={i}: {'FAIL' if failing else 'PASS'} "
                          f"(max error {worst:.3g})")
             lines.extend(f"  {r.variable} {tuple(r.monomial)}: expected "
@@ -959,7 +982,7 @@ class VerificationReport:
         summary = f"max discrepancy {self.max_discrepancy:.3g}"
         if not self.passed:
             # the check is relative, so name the row furthest past it
-            row = max((r for r in self.rows if not r.ok),
+            row = max((r for _, failing in self.by_step for r in failing),
                       key=lambda r: r.error / max(1.0, abs(r.expected)))
             summary += (f"; worst failing row: {row.variable} "
                         f"{tuple(row.monomial)} at i={row.step}, error "
@@ -987,6 +1010,16 @@ class VerificationReport:
         }
 
 
+def _agreeing_rows(kept: list, zero: Scalar) -> Iterator[VerificationRow]:
+    """An exact verify's rows: a kept int is an agreeing oracle numerator."""
+    for i, name, monomials, numerators, den in kept:
+        for mono, n in zip(monomials, numerators):
+            if isinstance(n, int):
+                expected = Fraction(n, den) if n else zero
+                n = VerificationRow(i, name, mono, expected, expected, 0.0, True)
+            yield n
+
+
 def verify(solution: ClosedFormSolution, system: PolySystem,
            max_power: Optional[int] = None, tol: float = 1e-8
            ) -> VerificationReport:
@@ -997,8 +1030,9 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     carries a nonzero offset (coefficients are exact there) and in the
     original coordinates otherwise. Exact mode demands equality, tested
     in integers as n * lcd * Q^i == S * D between the oracle's n / D and
-    the closed form's S / (lcd * Q^i) (_exact_table_values); an agreeing
-    cell makes one Fraction. Float mode allows relative error up to tol.
+    the closed form's S / (lcd * Q^i) (_exact_table_values) at every cell
+    and step; an agreeing cell is kept as n, its row built when report.rows
+    is first read. Float mode allows relative error up to tol (finite, >= 0).
     Each oracle step forms every distinct monomial's truncated product
     once for all k equations (_oracle_step): exact states are integer
     lists indexed by basis position (integer polynomials for a basis past
@@ -1008,6 +1042,8 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     steps = solution.order if max_power is None else max_power
     if steps < 0:
         raise CarlemanError(f"max_power must be >= 0, got {steps}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise CarlemanError(f"tolerance must be finite and >= 0, got {tol}")
     reduced = reduce_depth(system)
     if reduced.mode is not solution.mode:
         raise CarlemanError("solution and system modes differ")
@@ -1030,9 +1066,9 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     exact_values = _exact_table_values(tables, steps) if exact else None
     table_orders = [sorted(table, key=grlex_key) for table in tables]
 
-    rows: List[VerificationRow] = []
+    # float: every row; exact: the failing rows, kept for _agreeing_rows
+    rows, kept = [], []
     state = _oracle_start(target, order)
-    worst = 0.0
     for i in range(steps + 1):
         oracle, den = state.terms(), state.denominator
         if exact:
@@ -1040,36 +1076,34 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
         else:
             values = [{m: s.evaluate(i) for m, s in table.items()}
                       for table in tables]
-        for p in range(target.k):
+        for p, name in enumerate(solution.names):
             # order >= 1 and each step truncates at it: no degree filter
             terms, cells = oracle[p], values[p]
             monomials = (table_orders[p] if terms.keys() <= cells.keys() else
                          sorted(terms.keys() | cells.keys(), key=grlex_key))
-            for mono in monomials:
-                if exact:
-                    n, (s, scale) = terms.get(mono, 0), cells.get(mono, (0, 1))
-                    expected = Fraction(n, den) if n else zero
-                    ok = n * scale == s * den
-                    got = expected if ok else Fraction(s, scale)
-                    error = 0.0 if ok else float(abs(expected - got))
-                else:
+            if not exact:
+                for mono in monomials:
                     expected, got = terms.get(mono, zero), cells.get(mono, zero)
-                    scale = max(1.0, abs(expected))
                     error = abs(expected - got)
-                    ok = error <= tol * scale
-                worst = max(worst, error)
-                rows.append(VerificationRow(i, solution.names[p], mono,
-                                            expected, got, error, ok))
+                    rows.append(VerificationRow(
+                        i, name, mono, expected, got, error,
+                        error <= tol * max(1.0, abs(expected))))
+                continue
+            numerators = list(map(terms.get, monomials, itertools.repeat(0)))
+            pairs = map(cells.get, monomials, itertools.repeat((0, 1)))
+            for j, (n, (s, scale)) in enumerate(zip(numerators, pairs)):
+                if n * scale != s * den:
+                    expected = Fraction(n, den) if n else zero
+                    got = Fraction(s, scale)
+                    numerators[j] = VerificationRow(
+                        i, name, monomials[j], expected, got,
+                        float(abs(expected - got)), False)
+                    rows.append(numerators[j])
+            kept.append((i, name, monomials, numerators, den))
         if i < steps:
             state = _oracle_step(state)
-    return VerificationReport(
-        rows=tuple(rows),
-        passed=all(r.ok for r in rows),
-        max_discrepancy=worst,
-        coordinates=coordinates,
-        order=order,
-        steps=steps,
-    )
+    build = (lambda: tuple(_agreeing_rows(kept, zero))) if exact else None
+    return VerificationReport.create(coordinates, order, steps, rows, build)
 
 
 # -- evaluation ------------------------------------------------------------------

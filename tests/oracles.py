@@ -616,7 +616,6 @@ def fraction_verify(solution: ClosedFormSolution, system: PolySystem,
 
     rows: List[VerificationRow] = []
     state = _identity_polys(target)
-    worst = 0.0
     for i in range(steps + 1):
         for p in range(target.k):
             oracle_terms = {m: c for m, c in state[p].terms.items()
@@ -633,20 +632,12 @@ def fraction_verify(solution: ClosedFormSolution, system: PolySystem,
                     scale = max(1.0, abs(expected))
                     error = abs(expected - got)
                     ok = error <= tol * scale
-                worst = max(worst, error)
                 rows.append(VerificationRow(
                     step=i, variable=solution.names[p], monomial=mono,
                     expected=expected, got=got, error=error, ok=ok))
         if i < steps:
             state = _oracle_step(target, state, order)
-    return VerificationReport(
-        rows=tuple(rows),
-        passed=all(r.ok for r in rows),
-        max_discrepancy=worst,
-        coordinates=coordinates,
-        order=order,
-        steps=steps,
-    )
+    return VerificationReport.create(coordinates, order, steps, rows)
 
 
 # -- combinatorial single-entry formulas (cross-checks, exponential cost) ------

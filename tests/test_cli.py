@@ -318,6 +318,19 @@ def test_verify_negative_max_power_exits_2(tmp_path, capsys):
     assert "max_power must be >= 0, got -1" in captured.err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1e-8", "inf"])
+def test_verify_tolerance_that_is_not_finite_and_non_negative_exits_2(
+        capsys, tolerance):
+    # a correct float solution: nan and negative values printed FAIL, inf
+    # would pass any solution
+    code = main(["verify", str(SAMPLES / "logistic_r2.rec"), "--order", "3",
+                 "--mode", "float", f"--tolerance={tolerance}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tolerance must be finite and >= 0")
+
+
 # -- eval -------------------------------------------------------------------
 
 
@@ -467,6 +480,43 @@ def test_missing_input_exits_1(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "absent.rec")])
     assert code == 1
     assert "cannot read input" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"vars: u\nu[i] = \xff2*u[i-1]\n"
+
+
+def assert_not_utf8_refused(code, capsys, name):
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read input: {name!r} is not UTF-8")
+    assert captured.err.count("\n") == 1
+
+
+def test_input_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.rec"
+    path.write_bytes(NOT_UTF8)
+    assert_not_utf8_refused(main(["solve", str(path)]), capsys, str(path))
+
+
+def test_stdin_that_is_not_utf8_exits_1(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
+    assert_not_utf8_refused(main(["solve", "-"]), capsys, "-")
+
+
+def test_solution_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    sol = tmp_path / "solution.json"
+    sol.write_bytes(b'{"order": "\xff"}')
+    code = main(["verify", write(tmp_path, LOGISTIC), "--solution", str(sol)])
+    assert_not_utf8_refused(code, capsys, str(sol))
+
+
+def test_matrix_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    matrix = tmp_path / "a.json"
+    matrix.write_bytes(b"[[1, 0], [0, \xff1]]")
+    code = main(["solve", write(tmp_path, COUPLED), "--matrix-a", str(matrix)])
+    assert_not_utf8_refused(code, capsys, str(matrix))
 
 
 def test_inadmissible_shift_exits_2(tmp_path, capsys):

@@ -422,6 +422,23 @@ def test_verify_float_tolerance():
     assert report.max_discrepancy < 1e-10
 
 
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+@pytest.mark.parametrize("tol", [math.nan, -1e-8, math.inf, -math.inf])
+def test_verify_refuses_a_tolerance_that_is_not_finite_and_non_negative(
+        mode, tol):
+    # nan and negative tolerances failed every float row, inf passed any
+    system, names = logistic(F(2), mode)
+    solution = solve(system, SolveOptions(order=3, mode=mode), names=names)
+    with pytest.raises(CarlemanError, match="tolerance must be finite and >= 0"):
+        verify(solution, system, tol=tol)
+
+
+def test_verify_accepts_a_zero_tolerance():
+    system, names = logistic(F(2))
+    solution = solve(system, SolveOptions(order=3), names=names)
+    assert verify(solution, system, tol=0.0).passed
+
+
 # -- depth reduction ---------------------------------------------------------------
 
 

@@ -244,3 +244,36 @@ def test_oracle_keeps_the_least_shared_denominator(text, max_degree):
         assert state.denominator == math.lcm(
             *(Fraction(c, state.denominator).denominator
               for c in coefficients))
+
+
+@pytest.mark.parametrize("text, matrix", [
+    (TRI3, None), (COUPLED, COUPLED_A), (SHIFTED, None)],
+    ids=["tri3", "coupled-A", "shifted"])
+def test_passing_verify_builds_rows_only_when_read(monkeypatch, text, matrix):
+    # the verdict and describe() come from the step summaries; the
+    # agreeing rows are made the first time report.rows is read
+    system, names = parse_system(text, Mode.EXACT)
+    solution = solve(system, SolveOptions(order=6, matrix=matrix), names)
+    built = []
+    original = carleman.solver.VerificationRow
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+    monkeypatch.setattr(carleman.solver, "VerificationRow", counting)
+    report = verify(solution, system, max_power=8)
+    described = report.describe()
+    assert report.passed
+    assert built == []
+    rows = report.rows
+    assert len(built) == len(rows)
+    assert report.rows is rows
+    monkeypatch.undo()
+    want = fraction_verify(solution, system, max_power=8)
+    assert type(rows) is tuple
+    assert rows == want.rows
+    assert report.to_json() == want.to_json()
+    assert described == want.describe()
+    read_first = verify(solution, system, max_power=8)
+    assert read_first.rows == rows
+    assert read_first.describe() == described
