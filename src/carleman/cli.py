@@ -98,7 +98,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str, stdin: bool = False) -> str:
-    """A UTF-8 file's text ('-' with stdin set: stdin's); else OSError."""
+    """The UTF-8 text of a file, or of stdin for '-' when stdin is set.
+    Text that is not UTF-8 raises OSError, as a missing file does."""
     try:
         if stdin and path == "-":
             buffer = getattr(sys.stdin, "buffer", None)  # a StringIO has none

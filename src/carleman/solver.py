@@ -951,7 +951,7 @@ class VerificationReport:
 
     @classmethod
     def create(cls, coordinates: str, order: int, steps: int,
-               rows: Iterable[VerificationRow], build_rows=None
+               rows: Sequence[VerificationRow], build_rows=None
                ) -> "VerificationReport":
         """rows grouped by step in one pass; with build_rows, only the
         failing rows (every other row has error 0)."""
