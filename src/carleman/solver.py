@@ -1011,13 +1011,13 @@ class VerificationReport:
 
 
 def _agreeing_rows(kept: list, zero: Scalar) -> Iterator[VerificationRow]:
-    """An exact verify's rows: a kept int is an agreeing oracle numerator."""
-    for i, name, monomials, numerators, den in kept:
-        for mono, n in zip(monomials, numerators):
-            if isinstance(n, int):
-                expected = Fraction(n, den) if n else zero
-                n = VerificationRow(i, name, mono, expected, expected, 0.0, True)
-            yield n
+    """Exact verify's rows: a kept int is an agreeing numerator, else a row."""
+    for i, name, monomials, cells, den in kept:
+        for mono, cell in zip(monomials, cells):
+            if isinstance(cell, int):
+                expected = Fraction(cell, den) if cell else zero
+                cell = VerificationRow(i, name, mono, expected, expected, 0.0, True)
+            yield cell
 
 
 def verify(solution: ClosedFormSolution, system: PolySystem,
