@@ -20,8 +20,7 @@ from .errors import (ArityError, CarlemanError, NonPolynomialError,
 from .parser import parse_system
 from .scalars import Mode
 from .solver import (ExpSum, SolveOptions, eval_direct,
-                     history_to_reduced_state, oracle_iterate_symbolic, solve,
-                     verify)
+                     history_to_reduced_state, solve, verify)
 from .systems import (TransformParams, apply_affine, check_shift_admissible,
                       fixed_points)
 from .triangular import decompose
@@ -37,6 +36,6 @@ __all__ = [
     "SizeLimitError", "SolveOptions", "TransformParams",
     "TriangularizationError", "ZeroPolynomialError", "apply_affine",
     "build_transition", "check_shift_admissible", "decompose", "eval_direct",
-    "fixed_points", "history_to_reduced_state", "oracle_iterate_symbolic",
-    "parse_system", "solve", "verify",
+    "fixed_points", "history_to_reduced_state", "parse_system", "solve",
+    "verify",
 ]

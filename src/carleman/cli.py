@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -95,6 +96,17 @@ def _build_argparser() -> argparse.ArgumentParser:
                           "transformed system")
     _add_common_flags(p_transform)
     return parser
+
+
+def _joined_values(argv: Sequence[str]) -> list:
+    """argv with each --shift or --z0 value that starts with '-' and a
+    digit or '.' joined to its flag: argparse reads -1/2 as an option."""
+    out: list = []
+    for token in argv:
+        if out and out[-1] in ("--shift", "--z0") and re.match(r"-[\d.]", token):
+            token = out.pop() + "=" + token
+        out.append(token)
+    return out
 
 
 def _read_text(path: str, stdin: bool = False) -> str:
@@ -347,6 +359,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = _joined_values(sys.argv[1:] if argv is None else argv)
     args = _build_argparser().parse_args(argv)
     report, error = None, None
     try:

@@ -17,16 +17,18 @@ truncated, so evaluating it tracks the true trajectory only as well as
 the degree > N tail allows.
 
 verify() therefore compares coefficients, not trajectory values, against
-a brute-force symbolic iteration oracle. Verification happens in the
-shifted coordinates when the shift is nonzero (there the coefficients
-are exact); with a zero shift the original-coordinate table is checked
-directly. In exact mode both sides stay in integers through the comparison:
-the oracle holds one integer list per variable, indexed by position in
-the grlex basis of monomials up to the order, over one shared
-denominator reduced by the common gcd after every step; the closed form
-is evaluated from one running power per distinct eigenvalue over a
-common denominator. Every coefficient is compared at every step; the
-rows of agreeing ones are built only when the report's rows are read.
+a brute-force symbolic iteration oracle, which only verify() runs.
+Verification happens in the shifted coordinates when the shift is
+nonzero (there the coefficients are exact); with a zero shift the
+original-coordinate table is checked directly. In exact mode both sides
+stay in integers: the oracle holds one integer list per variable,
+indexed by position in the grlex basis of monomials up to the order (a
+basis past BASIS_SIZE_LIMIT is refused, as solve refuses it), over one
+shared denominator reduced by the common gcd after every step; the
+closed form is evaluated from one running power per distinct eigenvalue
+over a common denominator. One loop compares every coefficient at every
+step in both modes; the rows of agreeing exact coefficients are built
+only when the report's rows are read.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple, Union)
 
-from .embedding import (BASIS_SIZE_LIMIT, MonomialBasis, basis_size,
-                        build_transition)
+from .embedding import MonomialBasis, build_transition
 from .errors import (ArityError, CarlemanError, NotShiftedError,
                      RepeatedEigenvalueError, ShiftNotFoundError,
                      SizeLimitError, TriangularizationError)
@@ -116,13 +117,13 @@ class ExpSum:
             total = total + coeff * base ** i
         return total
 
-    def render(self, index_name: str = "i") -> str:
+    def render(self) -> str:
         """ASCII rendering with bases ascending, e.g. '-5*2^i + 6*3^i'."""
         if not self.terms:
             return "0"
         pieces: List[str] = []
         for base, coeff in self.terms:
-            sign, body = _render_term(base, coeff, index_name)
+            sign, body = _render_term(base, coeff)
             if not pieces:
                 pieces.append(body if sign == "+" else f"-{body}")
             else:
@@ -134,11 +135,10 @@ class ExpSum:
                 for b, c in self.terms]
 
     @classmethod
-    def from_json(cls, mode: Mode, data, read=None) -> "ExpSum":
-        """Inverse of to_json; read reads one scalar (scalar_from_json).
+    def from_json(cls, mode: Mode, data, read) -> "ExpSum":
+        """Inverse of to_json; read reads one scalar (_scalar_reader).
         A float sum is read by the rule _rounded writes it with
         (_kept_float_sum), so a stored solution keeps every term."""
-        read = read or functools.partial(scalar_from_json, mode)
         pairs = [(read(t["base"]), read(t["coeff"])) for t in data]
         if mode is Mode.EXACT:
             return cls.from_terms(mode, pairs)
@@ -153,7 +153,7 @@ def _kept_float_sum(pairs: Iterable[Tuple[Scalar, Scalar]]) -> ExpSum:
                                            key=lambda bc: sort_key(bc[0]))))
 
 
-def _render_term(base: Scalar, coeff: Scalar, index_name: str) -> Tuple[str, str]:
+def _render_term(base: Scalar, coeff: Scalar) -> Tuple[str, str]:
     sign, mag = split_sign(coeff)
     mag_text = format_scalar(mag)
     if "j" in mag_text or "+" in mag_text or mag_text.startswith("-"):
@@ -163,7 +163,7 @@ def _render_term(base: Scalar, coeff: Scalar, index_name: str) -> Tuple[str, str
     base_text = format_scalar(base)
     if not _PLAIN_NUMBER.match(base_text):
         base_text = f"({base_text})"
-    power = f"{base_text}^{index_name}"
+    power = f"{base_text}^i"
     if mag == 1:
         return sign, power
     return sign, f"{mag_text}*{power}"
@@ -345,6 +345,13 @@ def _convert_vector(values: Sequence[Scalar], mode: Mode) -> List[Scalar]:
     return out
 
 
+def _moved(system: PolySystem, params: TransformParams) -> PolySystem:
+    """system under params; a float constant within _FLOAT_CONSTANT_TOL
+    of 0 is the shift's residue and is dropped."""
+    return drop_float_residue(apply_affine(system, params),
+                              _FLOAT_CONSTANT_TOL, constant_term)
+
+
 @dataclass(frozen=True)
 class ShiftCandidate:
     """One fixed-point candidate with its admissibility outcome."""
@@ -388,8 +395,7 @@ def resolve_shift(system: PolySystem, opts: SolveOptions
     trail: List[ShiftCandidate] = []
     chosen: Optional[List[Scalar]] = None
     for cand in candidates:
-        shifted = apply_affine(system, TransformParams.shift(cand, mode))
-        shifted = drop_float_residue(shifted, _FLOAT_CONSTANT_TOL, constant_term)
+        shifted = _moved(system, TransformParams.shift(cand, mode))
         try:
             report = check_shift_admissible(shifted, max_power=opts.order,
                                             seed=opts.seed)
@@ -464,8 +470,7 @@ def resolve_transform(system: PolySystem, opts: SolveOptions,
         opts = dataclasses.replace(opts, shift=list(opts.shift) * system.depth)
 
     offset, _ = resolve_shift(reduced, opts)
-    shifted = apply_affine(reduced, TransformParams.shift(offset, mode))
-    shifted = drop_float_residue(shifted, _FLOAT_CONSTANT_TOL, constant_term)
+    shifted = _moved(reduced, TransformParams.shift(offset, mode))
     bad = [p for p, c in enumerate(shifted.constant_vector()) if c != 0]
     if bad and require_shifted:
         if opts.shift == "none":
@@ -722,19 +727,19 @@ class _OracleState(NamedTuple):
     denominators in exact mode (polys and numerators are integer, and no
     factor above 1 divides the denominator and every numerator) and 1
     in float mode. degree is the map's degree, order the degree cutoff
-    (None: none). An exact state whose order is 1 or more, with at most
-    BASIS_SIZE_LIMIT basis monomials, holds lists indexed by grlex basis
-    position: a key packs exponents in base order + 1, so a product
-    within the order has the sum of its factors' keys, and position
-    maps that to its place. Otherwise monomials is None and numerators
-    are polynomials."""
+    (at least 1). An exact state holds lists indexed by position in the
+    grlex basis of monomials up to the order: a key packs exponents in
+    base order + 1, so a product within the order has the sum of its
+    factors' keys, and position maps that to its place. A float state
+    has monomials None and polynomial numerators, because a float sum
+    depends on the order of its terms."""
 
     numerators: list
     denominator: int
     polys: List[Poly]
     scale: int
     degree: int
-    order: Optional[int]
+    order: int
     monomials: Optional[List[Monomial]] = None
     keys: Sequence[int] = ()
     position: Optional[Dict[int, int]] = None
@@ -747,51 +752,27 @@ class _OracleState(NamedTuple):
         return [dict(zip(itertools.compress(self.monomials, column),
                          filter(None, column))) for column in self.numerators]
 
-    def reduced(self, numerators: list, denominator: int) -> "_OracleState":
-        """This state with numerators over denominator, both divided by
-        their common gcd."""
-        lists = self.monomials is not None
-        values = numerators if lists else [p.terms.values() for p in numerators]
-        common = 1
-        if denominator > 1:
-            common = math.gcd(denominator, *itertools.chain.from_iterable(values))
-        if common > 1 and lists:
-            numerators = [[x // common for x in column] for column in numerators]
-        elif common > 1:
-            numerators = [Poly._trusted(p.var_count, {m: c // common
-                                                      for m, c in p.terms.items()})
-                          for p in numerators]
-        return self._replace(numerators=numerators,
-                             denominator=denominator // common)
 
-
-def _oracle_start(system: PolySystem, max_degree: Optional[int]
-                  ) -> _OracleState:
-    """The identity map, to be stepped with degrees above max_degree
-    dropped (None: no cutoff)."""
+def _oracle_start(system: PolySystem, order: int) -> _OracleState:
+    """The identity map, to be stepped with degrees above order (at
+    least 1) dropped. An exact state's basis is MonomialBasis(k, order),
+    so an order whose basis is past BASIS_SIZE_LIMIT raises
+    SizeLimitError, as solve does."""
     k = system.k
     degree = max(0, max(p.degree() for p in system.polys))
-    if system.mode is Mode.EXACT:
-        polys, scale = integer_scaled(system.polys)
-        one = 1
-    else:
-        polys, scale, one = list(system.polys), 1, system.mode.one
-    state = _OracleState(
-        [Poly._trusted(k, {tuple(int(t == l) for t in range(k)): one})
-         for l in range(k)], 1, polys, scale, degree, max_degree)
-    if (system.mode is not Mode.EXACT or (max_degree or 0) < 1
-            or basis_size(k, max_degree) > BASIS_SIZE_LIMIT):
-        return state
-    monomials = MonomialBasis(k, max_degree).monomials
-    keys = [functools.reduce(lambda key, e: key * (max_degree + 1) + e,
-                             mono, 0) for mono in monomials]
+    if system.mode is not Mode.EXACT:
+        return _OracleState([Poly.variable(k, l).scaled(system.mode.one)
+                             for l in range(k)], 1, list(system.polys), 1,
+                            degree, order)
+    polys, scale = integer_scaled(system.polys)
+    monomials = MonomialBasis(k, order).monomials
+    keys = [functools.reduce(lambda key, e: key * (order + 1) + e, mono, 0)
+            for mono in monomials]
     # basis positions 1..k are the variables
-    return state._replace(
-        numerators=[[int(a == l + 1) for a in range(len(keys))]
-                    for l in range(k)],
-        monomials=monomials, keys=keys,
-        position={key: a for a, key in enumerate(keys)},
-        degrees=list(map(sum, monomials)))
+    return _OracleState(
+        [[int(a == l + 1) for a in range(len(keys))] for l in range(k)],
+        1, polys, scale, degree, order, monomials, keys,
+        {key: a for a, key in enumerate(keys)}, list(map(sum, monomials)))
 
 
 def _truncated_product(left: List[Tuple[int, int]],
@@ -846,9 +827,9 @@ def _oracle_step(state: _OracleState) -> _OracleState:
     per step for all k equations. With D the denominator and g the
     system's degree, numerator p becomes the sum, over the terms c * m of
     polys[p], of c * D^(g - |m|) times the truncated product of the
-    numerators for m, over the denominator scale * D^g; both are then
-    divided by their common gcd. Basis-indexed lists multiply by
-    _truncated_product, polynomials by poly.compose_shared."""
+    numerators for m, over the denominator scale * D^g; exact lists, made
+    by _truncated_product, and that denominator are then divided by their
+    common gcd. Float polynomials, over 1, multiply by compose_shared."""
     g = state.degree
     den_powers = [state.denominator ** e for e in range(g + 1)]
     polys = state.polys if state.denominator == 1 else [
@@ -866,28 +847,13 @@ def _oracle_step(state: _OracleState) -> _OracleState:
         raise SizeLimitError(
             f"symbolic iteration exceeded {_ORACLE_TERM_LIMIT} terms; "
             f"lower the step count or the degree cutoff")
-    return state.reduced(numerators, state.scale * den_powers[g])
-
-
-def oracle_iterate_symbolic(system: PolySystem, i: int,
-                            max_degree: Optional[int] = None) -> List[Poly]:
-    """The i-fold composition of the update map, expanded in the initial
-    values. With a zero constant term and a degree cutoff N, the retained
-    coefficients are exact (degree grading); without a cutoff the
-    expansion is exact but can explode, so a term-count guard applies.
-    Exact mode iterates in integers and returns Fraction coefficients.
-    """
-    system.require_depth_one("symbolic iteration")
-    if i < 0:
-        raise ValueError(f"iteration count must be non-negative, got {i}")
-    state = _oracle_start(system, max_degree)
-    for _ in range(i):
-        state = _oracle_step(state)
-    if system.mode is not Mode.EXACT:
-        return state.numerators
-    return [Poly(system.k, {m: Fraction(c, state.denominator)
-                            for m, c in terms.items()})
-            for terms in state.terms()]
+    denominator = state.scale * den_powers[g]
+    common = 1 if denominator == 1 else math.gcd(
+        denominator, *itertools.chain.from_iterable(numerators))
+    if common > 1:
+        numerators = [[x // common for x in column] for column in numerators]
+    return state._replace(numerators=numerators,
+                          denominator=denominator // common)
 
 
 def _exact_table_values(tables: Sequence[Dict[Monomial, ExpSum]], steps: int
@@ -949,23 +915,6 @@ class VerificationReport:
     by_step: Tuple[Tuple[float, Tuple[VerificationRow, ...]], ...]
     build_rows: Callable[[], Tuple[VerificationRow, ...]]
 
-    @classmethod
-    def create(cls, coordinates: str, order: int, steps: int,
-               rows: Sequence[VerificationRow], build_rows=None
-               ) -> "VerificationReport":
-        """rows grouped by step in one pass; with build_rows, only the
-        failing rows (every other row has error 0)."""
-        groups: List[List[VerificationRow]] = [[] for _ in range(steps + 1)]
-        worst = 0.0
-        for row in rows:
-            groups[row.step].append(row)
-            worst = max(worst, row.error)
-        by_step = tuple((max((r.error for r in g), default=0.0),
-                         tuple(r for r in g if not r.ok)) for g in groups)
-        return cls(not any(failing for _, failing in by_step), worst,
-                   coordinates, order, steps, by_step,
-                   build_rows or (lambda: tuple(rows)))
-
     @functools.cached_property
     def rows(self) -> Tuple[VerificationRow, ...]:
         return self.build_rows()
@@ -1011,7 +960,7 @@ class VerificationReport:
 
 
 def _agreeing_rows(kept: list, zero: Scalar) -> Iterator[VerificationRow]:
-    """Exact verify's rows: a kept int is an agreeing numerator, else a row."""
+    """verify's rows: a kept int is an agreeing exact numerator, else a row."""
     for i, name, monomials, cells, den in kept:
         for mono, cell in zip(monomials, cells):
             if isinstance(cell, int):
@@ -1030,14 +979,15 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     carries a nonzero offset (coefficients are exact there) and in the
     original coordinates otherwise. Exact mode demands equality, tested
     in integers as n * lcd * Q^i == S * D between the oracle's n / D and
-    the closed form's S / (lcd * Q^i) (_exact_table_values) at every cell
-    and step; an agreeing cell is kept as n, its row built when report.rows
-    is first read. Float mode allows relative error up to tol (finite, >= 0).
-    Each oracle step forms every distinct monomial's truncated product
-    once for all k equations (_oracle_step): exact states are integer
-    lists indexed by basis position (integer polynomials for a basis past
-    BASIS_SIZE_LIMIT), the system scaled to integers once per verify;
-    float states are polynomials. grlex_key sorts each table once.
+    the closed form's S / (lcd * Q^i) (_exact_table_values); an agreeing
+    cell is kept as n, its row built when report.rows is first read.
+    Float mode allows relative error up to tol (finite, >= 0). One loop
+    compares every cell at every step in both modes and settles each
+    step's max error and failing rows. The oracle (_oracle_step) forms
+    each distinct monomial's truncated product once for all k equations;
+    an exact state is integer lists indexed by basis position, so an
+    order whose basis is past BASIS_SIZE_LIMIT raises SizeLimitError.
+    grlex_key sorts each table once.
     """
     steps = solution.order if max_power is None else max_power
     if steps < 0:
@@ -1050,10 +1000,8 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
     if reduced.k != solution.k:
         raise CarlemanError(
             f"solution covers {solution.k} variables, system has {reduced.k}")
-    use_transformed = any(x != 0 for x in solution.offsets)
-    if use_transformed:
-        target = apply_affine(reduced, solution.transform)
-        target = drop_float_residue(target, _FLOAT_CONSTANT_TOL, constant_term)
+    if any(x != 0 for x in solution.offsets):
+        target = _moved(reduced, solution.transform)
         tables = solution.transformed
         coordinates = "transformed"
     else:
@@ -1061,49 +1009,53 @@ def verify(solution: ClosedFormSolution, system: PolySystem,
         tables = solution.tables
         coordinates = "original"
     exact = solution.mode is Mode.EXACT
-    order = solution.order
     zero = target.mode.zero
-    exact_values = _exact_table_values(tables, steps) if exact else None
+    # what a cell missing from the oracle or the table reads as
+    absent, blank = (0, (0, 1)) if exact else (zero, zero)
+    values = _exact_table_values(tables, steps) if exact else (
+        [{m: s.evaluate(i) for m, s in table.items()} for table in tables]
+        for i in range(steps + 1))
     table_orders = [sorted(table, key=grlex_key) for table in tables]
 
-    # float: every row; exact: the failing rows, kept for _agreeing_rows
-    rows, kept = [], []
-    state = _oracle_start(target, order)
+    # kept: each (step, variable)'s monomials and compared cells, an
+    # agreeing exact cell as its numerator and every other as its row
+    kept, by_step, worst = [], [], 0.0
+    state = _oracle_start(target, solution.order)
     for i in range(steps + 1):
-        oracle, den = state.terms(), state.denominator
-        if exact:
-            values = next(exact_values)
-        else:
-            values = [{m: s.evaluate(i) for m, s in table.items()}
-                      for table in tables]
+        oracle, den, table_values = state.terms(), state.denominator, next(values)
+        rows = []
         for p, name in enumerate(solution.names):
             # order >= 1 and each step truncates at it: no degree filter
-            terms, cells = oracle[p], values[p]
+            terms, cells = oracle[p], table_values[p]
             monomials = (table_orders[p] if terms.keys() <= cells.keys() else
                          sorted(terms.keys() | cells.keys(), key=grlex_key))
-            if not exact:
-                for mono in monomials:
-                    expected, got = terms.get(mono, zero), cells.get(mono, zero)
-                    error = abs(expected - got)
-                    rows.append(VerificationRow(
-                        i, name, mono, expected, got, error,
-                        error <= tol * max(1.0, abs(expected))))
-                continue
-            numerators = list(map(terms.get, monomials, itertools.repeat(0)))
-            pairs = map(cells.get, monomials, itertools.repeat((0, 1)))
-            for j, (n, (s, scale)) in enumerate(zip(numerators, pairs)):
-                if n * scale != s * den:
-                    expected = Fraction(n, den) if n else zero
-                    got = Fraction(s, scale)
-                    numerators[j] = VerificationRow(
-                        i, name, monomials[j], expected, got,
-                        float(abs(expected - got)), False)
-                    rows.append(numerators[j])
-            kept.append((i, name, monomials, numerators, den))
+            compared = []
+            for mono, n, got in zip(
+                    monomials, map(terms.get, monomials, itertools.repeat(absent)),
+                    map(cells.get, monomials, itertools.repeat(blank))):
+                if exact and n * got[1] == got[0] * den:
+                    compared.append(n)
+                    continue
+                if exact:
+                    expected, got = Fraction(n, den), Fraction(*got)
+                    error, ok = float(abs(expected - got)), False
+                else:
+                    expected, error = n, abs(n - got)
+                    ok = error <= tol * max(1.0, abs(n))
+                rows.append(VerificationRow(i, name, mono, expected, got,
+                                            error, ok))
+                compared.append(rows[-1])
+            kept.append((i, name, monomials, compared, den))
+        errors = [row.error for row in rows]
+        worst = max([worst] + errors)
+        by_step.append((max(errors, default=0.0),
+                        tuple(row for row in rows if not row.ok)))
         if i < steps:
             state = _oracle_step(state)
-    build = (lambda: tuple(_agreeing_rows(kept, zero))) if exact else None
-    return VerificationReport.create(coordinates, order, steps, rows, build)
+    return VerificationReport(
+        not any(failing for _, failing in by_step), worst, coordinates,
+        solution.order, steps, tuple(by_step),
+        lambda: tuple(_agreeing_rows(kept, zero)))
 
 
 # -- evaluation ------------------------------------------------------------------

@@ -12,9 +12,10 @@ expsum_scaled() and expsum_add(), once ExpSum.scaled and ExpSum.__add__.
 It is the exact-mode oracle for the single assembly formula in
 solver._assemble. fraction_verify() is verify() with the oracle iterated
 in Fraction (or complex) polynomials, one power_compose per equation
-and step, and every cell evaluated by ExpSum.evaluate: the oracle for
-the integer evaluation of exact verify and for float verify's shared
-products.
+and step, every cell evaluated by ExpSum.evaluate, and the report built
+from all rows at the end: the oracle for the integer evaluation of
+exact verify, for float verify's shared products and for the step
+summaries verify settles in its comparison loop.
 power_compose() is Poly.compose before poly.product_table: each kept
 term's constant times every factor's truncated power, taken by
 power_products() in slot order with each power computed once, and the
@@ -23,7 +24,10 @@ product_table: the expansions, the oracle steps and fold_pullback() run
 through power_compose, and fraction_build_transition() multiplies
 cached powers of its own. PolyScaledState is the exact oracle state
 before basis-indexed lists: integer polynomials over one denominator.
-shared_scaled_step() is the exact oracle step on it, the system scaled
+iterate_symbolic() steps it by compose_scaled_step() and returns
+Fraction polynomials, with or without a degree cutoff: the oracle the
+tests compare closed forms against, once the package's
+oracle_iterate_symbolic. shared_scaled_step() is the exact oracle step on it, the system scaled
 by integer_system() anew at every step and the shared products formed
 by poly.compose_shared on tuple-keyed dicts: the reference for the list
 step of solver._oracle_step. compose_scaled_step() is the step before
@@ -542,6 +546,18 @@ def _scaled_step(system: PolySystem, state: PolyScaledState,
     return PolyScaledState.reduced(new_state, denominator)
 
 
+def iterate_symbolic(system: PolySystem, steps: int,
+                     max_degree: Optional[int] = None) -> List[Poly]:
+    """The steps-fold composition of an exact depth-one update map,
+    expanded in the initial values with degrees above max_degree dropped
+    (None: no cutoff), as Fraction polynomials: PolyScaledState stepped
+    by compose_scaled_step."""
+    state = PolyScaledState.start(system)
+    for _ in range(steps):
+        state = compose_scaled_step(system, state, max_degree)
+    return state.fractions()
+
+
 def shared_scaled_step(system: PolySystem, state: PolyScaledState,
                        max_degree: Optional[int]) -> PolyScaledState:
     """The exact branch of solver._oracle_step before basis-indexed
@@ -637,7 +653,18 @@ def fraction_verify(solution: ClosedFormSolution, system: PolySystem,
                     expected=expected, got=got, error=error, ok=ok))
         if i < steps:
             state = _oracle_step(target, state, order)
-    return VerificationReport.create(coordinates, order, steps, rows)
+    # the rows grouped by step in one pass, as the report was built
+    # before verify settled each step in its comparison loop
+    groups: List[List[VerificationRow]] = [[] for _ in range(steps + 1)]
+    worst = 0.0
+    for row in rows:
+        groups[row.step].append(row)
+        worst = max(worst, row.error)
+    by_step = tuple((max((r.error for r in g), default=0.0),
+                     tuple(r for r in g if not r.ok)) for g in groups)
+    return VerificationReport(not any(failing for _, failing in by_step),
+                              worst, coordinates, order, steps, by_step,
+                              lambda: tuple(rows))
 
 
 # -- combinatorial single-entry formulas (cross-checks, exponential cost) ------

@@ -16,16 +16,15 @@ from carleman.errors import ParseError, RepeatedEigenvalueError
 from carleman.parser import parse_system, pretty_print
 from carleman.scalars import Mode
 from carleman.solver import (SolveOptions, history_to_reduced_state,
-                             oracle_iterate_symbolic, resolve_transform,
-                             solve, verify)
+                             resolve_transform, solve, verify)
 from carleman.systems import TransformParams, apply_affine, reduce_depth
 from carleman.triangular import decompose
 
 from conftest import (random_dsl_system, random_triangular_system,
                       random_upper_triangular)
 from oracles import (chain_sum_eigenvector_entry, chain_sum_inverse_entry,
-                     dense, invert_unit_triangular, matrix_power,
-                     power_from_decomposition, sparse)
+                     dense, invert_unit_triangular, iterate_symbolic,
+                     matrix_power, power_from_decomposition, sparse)
 
 F = Fraction
 
@@ -192,7 +191,7 @@ def test_acceptance_4_closed_form_equals_oracle():
         solution = solve(system, SolveOptions(order=order, mode=Mode.EXACT,
                                               shift="none"))
         for i in range(5):
-            oracle = oracle_iterate_symbolic(system, i, max_degree=order)
+            oracle = iterate_symbolic(system, i, max_degree=order)
             for p in range(system.k):
                 assert_tables_match(coeffs_at(solution.tables[p], i),
                                     dict(oracle[p].terms))
@@ -213,7 +212,7 @@ def test_acceptance_5_depth_reduction():
     assert solution.names == ("u", "u_m1")
     reduced = reduce_depth(system)
     for i in range(6):
-        oracle = oracle_iterate_symbolic(reduced, i, max_degree=1)
+        oracle = iterate_symbolic(reduced, i, max_degree=1)
         for p in range(2):
             assert_tables_match(coeffs_at(solution.tables[p], i),
                                 dict(oracle[p].terms))

@@ -31,7 +31,7 @@ DELETED = (
     "NumberNode", "VarRefNode", "BinaryNode", "PowerNode", "walk",
     "_default_order", "_ORDER_ENV", "compose", "_split_sign", "_is_negative",
     "_render_initial_monomial", "_render_monomial", "_vector_inline",
-    "_load_system",
+    "_load_system", "oracle_iterate_symbolic",
 )
 
 OWNERS = (

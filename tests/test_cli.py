@@ -803,6 +803,48 @@ def test_unknown_flag_is_rejected(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+# fixed point (-1/2, -1/3) with eigenvalues -3 and -4
+NEGATIVE_FIXED_POINT = ("vars: u, v\n"
+                        "u[i] = 5*u[i-1] + 8*u[i-1]^2\n"
+                        "v[i] = 6*v[i-1] + 15*v[i-1]^2\n")
+
+
+@pytest.mark.parametrize("argv, code, shown", [
+    (["solve", "--order", "2", "--shift", "-1/2,-1/3"], 0, "shift: [-1/2, -1/3]"),
+    (["verify", "--order", "2", "--shift", "-1/2,-1/3"], 0, "result: PASS"),
+    (["solve", "--shift", "-1/2"], 2, ""),
+    (["eval", "--index", "2", "--z0", "-1/2,-1/3"], 0, "u[2]: direct=-1/2"),
+    (["eval", "--index", "2", "--z0", "-0.5,-1e-8"], 0, "v[2]: direct="),
+], ids=["solve", "verify", "short-shift", "eval", "eval-decimal"])
+def test_negative_flag_value_reads_like_the_joined_spelling(tmp_path, capsys,
+                                                            argv, code, shown):
+    # argparse reads a value such as -1/2 as an option unless it is
+    # joined to its flag; both spellings must run alike
+    path = write(tmp_path, NEGATIVE_FIXED_POINT)
+    assert main([argv[0], path] + argv[1:]) == code
+    spaced = capsys.readouterr()
+    flag, value = argv[-2:]
+    assert main([argv[0], path] + argv[1:-2] + [f"{flag}={value}"]) == code
+    assert capsys.readouterr() == spaced
+    assert shown in spaced.out
+    assert bool(spaced.err) == bool(code)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--z0", "1/2", "--shift", "-x"], "argument --shift: expected one argument"),
+    (["--z0", "--frobnicate"], "argument --z0: expected one argument"),
+    (["--z0", "-1/2", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+])
+def test_an_option_after_a_value_flag_stays_a_usage_error(tmp_path, capsys,
+                                                          argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", write(tmp_path, LOGISTIC), "--index", "1"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert message in err
+
+
 # -- configuration plumbing --------------------------------------------------
 
 

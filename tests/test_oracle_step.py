@@ -3,10 +3,10 @@
 solver._oracle_step keeps an exact state as one integer list per
 variable, indexed by basis position, and forms each distinct monomial's
 truncated product of the state once per step, shared across the k
-equations (solver._truncated_product). Without a basis (no cutoff, a
-cutoff of 0, or one past BASIS_SIZE_LIMIT) the numerators are integer
-polynomials stepped by poly.compose_shared. oracles.compose_scaled_step
-is the per-equation step: one oracles.power_compose per equation, the
+equations (solver._truncated_product). Every exact state has that
+layout: a cutoff whose basis is past BASIS_SIZE_LIMIT is refused, and
+an untruncated run is checked at a cutoff no term can pass.
+oracles.compose_scaled_step is the per-equation step: one oracles.power_compose per equation, the
 reference of the named and random cases. oracles.shared_scaled_step is
 the step before the lists: the shared products on tuple-keyed integer
 polynomials, the reference of the hypothesis test. Every step must give
@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carleman.embedding
 import carleman.solver
 import oracles
-from carleman import SolveOptions, oracle_iterate_symbolic, parse_system
+from carleman import SizeLimitError, SolveOptions, parse_system
 from carleman.embedding import basis_size
 from carleman.poly import Poly
 from carleman.scalars import Mode
@@ -60,6 +61,12 @@ def assert_same_state(state, want):
     assert as_polys(state) == want.numerators
 
 
+def untruncated(system, steps):
+    """A cutoff no term of the first steps steps can pass: a map of
+    degree g has degree at most g^steps after steps steps."""
+    return max(1, max(p.degree() for p in system.polys) ** steps)
+
+
 def check_steps(system, steps, max_degree, reference=compose_scaled_step):
     """Step the oracle and reference side by side; the last reference
     state."""
@@ -79,7 +86,8 @@ def test_named_cases_step_like_compose_per_equation(order):
         for stepped in stepped_systems(system, order, options):
             check_steps(stepped, order, order)
             # the untruncated expansion grows fast; a few steps suffice
-            check_steps(stepped, 2 if stepped.k > 2 else 3, None)
+            steps = 2 if stepped.k > 2 else 3
+            check_steps(stepped, steps, untruncated(stepped, steps))
 
 
 def test_random_systems_step_like_compose_per_equation():
@@ -89,7 +97,7 @@ def test_random_systems_step_like_compose_per_equation():
         order = random_order(rng, system)
         for stepped in stepped_systems(system, order, options):
             fractional += check_steps(stepped, order, order).denominator > 1
-            check_steps(stepped, 2, None)
+            check_steps(stepped, 2, untruncated(stepped, 2))
     assert fractional > 0
 
 
@@ -117,19 +125,17 @@ def exact_systems(draw):
 @given(exact_systems())
 def test_list_oracle_equals_dict_step_on_random_systems(case):
     system, order, steps = case
-    want = check_steps(system, steps, order, shared_scaled_step)
-    assert oracle_iterate_symbolic(system, steps, order) == want.fractions()
+    check_steps(system, steps, order, shared_scaled_step)
 
 
-@pytest.mark.parametrize("max_degree", [None, 0, 120])
-def test_cutoffs_without_a_basis_step_as_integer_polynomials(max_degree):
-    # no cutoff, a cutoff below 1 or one past BASIS_SIZE_LIMIT monomials
-    # (k = 3 at 120) has no list basis: the numerators stay integer
-    # polynomials, stepped in integers like the reference
+def test_an_exact_cutoff_past_the_basis_limit_is_refused():
+    # k = 3 at 120 has more than BASIS_SIZE_LIMIT monomials: the exact
+    # oracle has no other layout than the basis lists, so it refuses
+    # the cutoff as solve refuses the order
     system = parse_system(TRI3, Mode.EXACT)[0]
-    assert _oracle_start(system, max_degree).monomials is None
-    want = check_steps(system, 3, max_degree, shared_scaled_step)
-    assert oracle_iterate_symbolic(system, 3, max_degree) == want.fractions()
+    assert basis_size(system.k, 120) > carleman.embedding.BASIS_SIZE_LIMIT
+    with pytest.raises(SizeLimitError, match="basis would hold"):
+        _oracle_start(system, 120)
 
 
 def prefixes(mono):

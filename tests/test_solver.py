@@ -11,15 +11,15 @@ import carleman.solver
 from carleman import (
     ArityError, CarlemanError, ExpSum, RepeatedEigenvalueError,
     ShiftNotFoundError, SolveOptions, eval_direct, history_to_reduced_state,
-    oracle_iterate_symbolic, parse_system, solve, verify,
+    parse_system, solve, verify,
 )
-from carleman.scalars import Mode
-from carleman.solver import (ClosedFormSolution, reduced_variable_names,
-                             resolve_shift)
+from carleman.scalars import Mode, scalar_from_json
+from carleman.solver import (ClosedFormSolution, _oracle_start, _oracle_step,
+                             reduced_variable_names, resolve_shift)
 from carleman.systems import reduce_depth
 
 from conftest import random_triangular_system
-from oracles import expsum_add, expsum_scaled
+from oracles import expsum_add, expsum_scaled, iterate_symbolic
 
 F = Fraction
 
@@ -131,9 +131,11 @@ def test_expsum_float_merging():
 
 def test_expsum_json_round_trip():
     es = ExpSum.from_terms(Mode.EXACT, [(F(2), F(4, 3)), (F(1, 2), F(-1))])
-    assert ExpSum.from_json(Mode.EXACT, es.to_json()) == es
+    assert ExpSum.from_json(Mode.EXACT, es.to_json(),
+                            lambda x: scalar_from_json(Mode.EXACT, x)) == es
     ef = ExpSum.from_terms(Mode.FLOAT, [(complex(0, 1), complex(2.5))])
-    assert ExpSum.from_json(Mode.FLOAT, ef.to_json()) == ef
+    assert ExpSum.from_json(Mode.FLOAT, ef.to_json(),
+                            lambda x: scalar_from_json(Mode.FLOAT, x)) == ef
 
 
 # -- options -----------------------------------------------------------------------
@@ -325,22 +327,33 @@ def test_linear_systems_are_exact_at_any_step():
 # -- oracle ------------------------------------------------------------------------
 
 
+def oracle_fractions(system, steps, order):
+    """verify's oracle after steps steps at the cutoff order, as one
+    monomial -> Fraction map per variable."""
+    state = _oracle_start(system, order)
+    for _ in range(steps):
+        state = _oracle_step(state)
+    return [{m: F(c, state.denominator) for m, c in terms.items()}
+            for terms in state.terms()]
+
+
 def test_oracle_iterate_logistic():
+    # a quadratic map after i steps has degree 2^i: the cutoff drops nothing
     system, _ = logistic(F(2))
-    assert oracle_iterate_symbolic(system, 0)[0].terms == {(1,): F(1)}
-    assert oracle_iterate_symbolic(system, 1)[0].terms == \
-        {(1,): F(2), (2,): F(-2)}
-    assert oracle_iterate_symbolic(system, 2)[0].terms == \
+    assert oracle_fractions(system, 0, 1)[0] == {(1,): F(1)}
+    assert oracle_fractions(system, 1, 2)[0] == {(1,): F(2), (2,): F(-2)}
+    assert oracle_fractions(system, 2, 4)[0] == \
         {(1,): F(4), (2,): F(-12), (3,): F(16), (4,): F(-8)}
 
 
 def test_oracle_truncation_respects_grading():
     system, _ = logistic(F(2))
-    full = oracle_iterate_symbolic(system, 3)
-    cut = oracle_iterate_symbolic(system, 3, max_degree=3)
-    for mono, coeff in cut[0].terms.items():
-        assert coeff == full[0].terms[mono]
-    assert all(sum(m) <= 3 for m in cut[0].terms)
+    full = oracle_fractions(system, 3, 2 ** 3)
+    cut = oracle_fractions(system, 3, 3)
+    for mono, coeff in cut[0].items():
+        assert coeff == full[0][mono]
+    assert all(sum(m) <= 3 for m in cut[0])
+    assert max(map(sum, full[0])) == 8
 
 
 def test_closed_form_matches_oracle_truncated():
@@ -350,7 +363,7 @@ def test_closed_form_matches_oracle_truncated():
         order = rng.randint(2, 4)
         solution = solve(system, SolveOptions(order=order, shift="none"))
         for i in range(4):
-            step = oracle_iterate_symbolic(system, i, max_degree=order)
+            step = iterate_symbolic(system, i, max_degree=order)
             for p in range(system.k):
                 keys = set(step[p].terms) | set(solution.tables[p])
                 for mono in keys:
@@ -449,7 +462,7 @@ def test_depth_two_quadratic_against_oracle():
     assert solution.names == ("u", "u_m1")
     reduced = reduce_depth(system)
     for i in range(6):
-        step = oracle_iterate_symbolic(reduced, i, max_degree=1)
+        step = iterate_symbolic(reduced, i, max_degree=1)
         for p in range(reduced.k):
             for mono, coeff in step[p].terms.items():
                 entry = solution.tables[p].get(mono)

@@ -22,7 +22,8 @@ from fractions import Fraction
 import pytest
 
 import carleman.solver
-from carleman import SolveOptions, parse_system, solve, verify
+from carleman import SizeLimitError, SolveOptions, parse_system, solve, verify
+from carleman.cli import main
 from carleman.scalars import Mode
 from carleman.solver import ClosedFormSolution, _oracle_start, _oracle_step
 
@@ -188,18 +189,37 @@ def test_tampered_rows_match_fraction_verify(tamper, passes):
             got, fraction_verify(stored, system, max_power=max_power))
 
 
-def test_stored_order_past_the_basis_limit_matches_fraction_verify():
-    # k = 3 at order 120 has more than BASIS_SIZE_LIMIT monomials, so the
-    # exact oracle has no list basis and steps as integer polynomials
+def past_the_basis_limit():
+    """TRI3 and its order-2 solution stored as order 120, whose basis of
+    k = 3 variables holds more than BASIS_SIZE_LIMIT monomials."""
     system, names = parse_system(TRI3, Mode.EXACT)
     data = solve(system, SolveOptions(order=2), names).to_json()
     data["order"] = 120
+    return system, data
+
+
+def test_stored_order_past_the_basis_limit_is_refused():
+    # the exact oracle is basis lists only, so it refuses the order as
+    # solve refuses it
+    system, data = past_the_basis_limit()
     stored = ClosedFormSolution.from_json(data)
-    assert _oracle_start(system, stored.order).monomials is None
-    got = verify(stored, system, max_power=3)
-    assert not got.passed
-    assert_same_exact_report(
-        got, fraction_verify(stored, system, max_power=3))
+    with pytest.raises(SizeLimitError, match="basis would hold"):
+        verify(stored, system, max_power=3)
+
+
+def test_cli_refuses_a_stored_order_past_the_basis_limit(tmp_path, capsys):
+    _, data = past_the_basis_limit()
+    rec, stored = tmp_path / "tri3.rec", tmp_path / "tri3.json"
+    rec.write_text(TRI3, encoding="utf-8")
+    stored.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["verify", str(rec), "--solution", str(stored),
+                 "--max-power", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: basis would hold ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text, matrix", [
@@ -228,12 +248,13 @@ FRACTIONAL = ("vars: u, v\n"
               "v[i] = 1/3*v[i-1] + 3/4*u[i-1]*v[i-1] - 5/6*u[i-1]^2\n")
 
 
-@pytest.mark.parametrize("max_degree", [4, None])
+# 32 = 2^5: no term of five quadratic steps passes it
+@pytest.mark.parametrize("max_degree", [4, 32])
 @pytest.mark.parametrize("text", [LOGISTIC, FRACTIONAL])
 def test_oracle_keeps_the_least_shared_denominator(text, max_degree):
     # no factor is left common to the denominator and every numerator, so
-    # the denominator is the lcm of the reduced coefficient denominators;
-    # with no cutoff the numerators are polynomials, with one basis lists
+    # the denominator is the lcm of the reduced coefficient denominators,
+    # whether the cutoff drops terms or not
     system, _ = parse_system(text, Mode.EXACT)
     state = _oracle_start(system, max_degree)
     for _ in range(5):
