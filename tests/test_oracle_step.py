@@ -6,11 +6,12 @@ truncated product of the state once per step, shared across the k
 equations (solver._truncated_product). Every exact state has that
 layout: a cutoff whose basis is past BASIS_SIZE_LIMIT is refused, and
 an untruncated run is checked at a cutoff no term can pass.
-oracles.compose_scaled_step is the per-equation step: one oracles.power_compose per equation, the
-reference of the named and random cases. oracles.shared_scaled_step is
-the step before the lists: the shared products on tuple-keyed integer
-polynomials, the reference of the hypothesis test. Every step must give
-equal numerators and the same denominator.
+oracles.compose_scaled_step is the per-equation step: one
+oracles.power_compose per equation, the reference of the named and
+random cases. oracles.shared_scaled_step is the step before the lists:
+the shared products on tuple-keyed integer polynomials, the reference
+of the hypothesis test. Every step must give equal numerators and the
+same denominator.
 """
 
 import random
@@ -136,6 +137,9 @@ def test_an_exact_cutoff_past_the_basis_limit_is_refused():
     assert basis_size(system.k, 120) > carleman.embedding.BASIS_SIZE_LIMIT
     with pytest.raises(SizeLimitError, match="basis would hold"):
         _oracle_start(system, 120)
+    # a float state stays polynomials, whose size the term limit bounds
+    float_system = parse_system(TRI3, Mode.FLOAT)[0]
+    assert _oracle_start(float_system, 120).monomials is None
 
 
 def prefixes(mono):
